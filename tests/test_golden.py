@@ -1,0 +1,188 @@
+"""Golden corpus: the answers of the current code, pinned.
+
+Two fixtures:
+
+* the README ring session, run through ``main(argv)`` with ``--no-timing``
+  for ``comm``, ``team`` and ``cardinality``; the CSVs are committed;
+* the planted-community graph of ``test_07``, built exactly as that test
+  builds it, with three distinct sampled seed sets; each of the five
+  variants is called through the library.
+
+Ids, counts, node lists and status strings must match exactly, metric
+floats to a relative tolerance of 1e-8.  A change that means to change
+answers regenerates the corpus (and says so) with::
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import csv
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from tensionkit import (community_solver, generate_profiles, induced_subgraph,
+                        largest_component, proxy_weights, sample_seed_groups,
+                        standardized_metrics)
+from tensionkit.cli import main
+from tensionkit.rng import derive_seed
+from tensionkit.synthetic import block_incidence, planted_partition_graph
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REL = 1e-8
+FLOAT_COLUMNS = {"tau", "mpe", "mpc", "raw_tension"}
+FLOAT_KEYS = ("tension", "tau", "mpe", "mpc")
+ALL_TAGS = ("tree-hops", "tree-weights", "peel-random", "peel-sum", "peel-max")
+
+
+# -- the README ring session ------------------------------------------------
+
+def ring_outputs(directory: Path) -> dict[str, list[list[str]]]:
+    """CSV rows of ``comm``, ``team`` and ``cardinality`` on the README ring."""
+    d = directory
+    edges = [(i, (i + 1) % 16) for i in range(16)] + [(0, 8), (4, 12)]
+    (d / "ring.edges").write_text("".join(f"{u} {v}\n" for u, v in edges))
+    (d / "ring.skills").write_text("0 a 4\n3 b 4\n6 c 4\n9 a 5\n")
+    (d / "ring.project").write_text("a b c\n")
+    graph, profiles = str(d / "ring.edges"), str(d / "ring.profiles")
+    runs = {
+        "gen-profiles": ["gen-profiles", "--graph", graph, "--scheme", "uniform",
+                         "--attrs", "2", "--seed", "7", "--out", profiles],
+        "sample-seeds": ["sample-seeds", "--graph", graph, "--seed-size", "2",
+                         "--n-candidates", "100", "--per-group", "5", "--seed", "7",
+                         "--out", str(d / "ring.seeds")],
+        "comm": ["comm", "--graph", graph, "--profiles", profiles,
+                 "--seeds", str(d / "ring.seeds.D2"), "--seed", "7"],
+        "team": ["team", "--graph", graph, "--profiles", profiles,
+                 "--skills", str(d / "ring.skills"),
+                 "--project", str(d / "ring.project")],
+        "cardinality": ["cardinality", "--graph", graph, "--profiles", profiles,
+                        "--k", "4"],
+    }
+    rows = {}
+    for name, argv in runs.items():
+        if name in ("comm", "team", "cardinality"):
+            out = d / f"{name}.csv"
+            argv = argv + ["--no-timing", "--out", str(out)]
+        assert main(argv) == 0, f"{name} failed"
+        if name in ("comm", "team", "cardinality"):
+            with open(out, newline="") as fh:
+                rows[name] = list(csv.reader(fh))
+    return rows
+
+
+def ring_golden_path(name: str) -> Path:
+    return GOLDEN / f"ring_{name}.csv"
+
+
+@pytest.fixture(scope="module")
+def ring(tmp_path_factory):
+    return ring_outputs(tmp_path_factory.mktemp("ring"))
+
+
+@pytest.mark.parametrize("name", ["comm", "team", "cardinality"])
+def test_ring_session_matches_corpus(name, ring):
+    got = ring[name]
+    with open(ring_golden_path(name), newline="") as fh:
+        want = list(csv.reader(fh))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for g_row, w_row in zip(got[1:], want[1:]):
+        for column, g, w in zip(want[0], g_row, w_row):
+            if column in FLOAT_COLUMNS and w:
+                assert float(g) == pytest.approx(float(w), rel=REL), (column, w_row)
+            else:
+                assert g == w, (column, w_row)
+
+
+# -- the test_07 planted graph ------------------------------------------------
+
+def planted_fixture():
+    """Working graph, profiles, weights and seed groups, as ``test_07``."""
+    g_full, labels = planted_partition_graph(8, 250, p_in=0.02, p_out=0.001,
+                                             rng_seed=42)
+    M, _ = block_incidence(labels, rng_seed=7)
+    X_full = generate_profiles(g_full.node_count, 4, "eigenvector",
+                               rng_seed=11, incidence=M)
+    g, olds = induced_subgraph(g_full, largest_component(g_full))
+    X = X_full[olds]
+    weights = proxy_weights(g, X)
+    groups = {grp.label: grp.sets
+              for grp in sample_seed_groups(g, 7, n_candidates=1000, per_group=30,
+                                            rng_seed=3)}
+    return g, X, weights, groups
+
+
+def solve_case(g, X, weights, label: str, index: int, seeds) -> dict:
+    """Every variant's answer on one seed set, in the corpus's JSON shape."""
+    seeds = list(seeds)
+    rng_seed = derive_seed(0, f"peel-random:{label}-{index:03d}")
+    answers = {}
+    for tag in ALL_TAGS:
+        solve = community_solver(*tag.split("-", 1), rng_seed=rng_seed)
+        sol = solve(g, X, seeds, weights)
+        met = standardized_metrics(g, weights, sol, seeds)
+        answers[tag] = {"nodes": sol.sorted_nodes(), "edges_induced": sol.edges_induced,
+                        "tension": sol.tension, "tau": met.tau, "mpe": met.mpe,
+                        "mpc": met.mpc}
+    return answers
+
+
+def pick_cases(groups) -> list[tuple[str, int, tuple[int, ...]]]:
+    """The first set of each group that no earlier pick equals."""
+    picked: list[tuple[str, int, tuple[int, ...]]] = []
+    for label in ("D1", "D2", "D3"):
+        index = next(i for i, s in enumerate(groups[label])
+                     if all(s != p[2] for p in picked))
+        picked.append((label, index, groups[label][index]))
+    return picked
+
+
+@pytest.fixture(scope="module")
+def planted():
+    return planted_fixture()
+
+
+def load_planted_corpus() -> list[dict]:
+    return json.loads((GOLDEN / "planted.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_planted_variants_match_corpus(position, planted):
+    g, X, weights, groups = planted
+    case = load_planted_corpus()[position]
+    seeds = tuple(case["seeds"])
+    assert groups[case["group"]][case["index"]] == seeds
+    got = solve_case(g, X, weights, case["group"], case["index"], seeds)
+    assert set(got) == set(case["variants"])
+    for tag, want in case["variants"].items():
+        have = got[tag]
+        assert have["nodes"] == want["nodes"], tag
+        assert have["edges_induced"] == want["edges_induced"], tag
+        for key in FLOAT_KEYS:
+            assert have[key] == pytest.approx(want[key], rel=REL), (tag, key)
+
+
+def test_planted_cases_are_distinct():
+    seeds = [tuple(c["seeds"]) for c in load_planted_corpus()]
+    assert len(seeds) == 3 and len(set(seeds)) == 3
+
+
+# -- regeneration --------------------------------------------------------------
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as d:
+        for name, rows in ring_outputs(Path(d)).items():
+            with open(ring_golden_path(name), "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+    g, X, weights, groups = planted_fixture()
+    cases = [{"group": label, "index": index, "seeds": list(seeds),
+              "variants": solve_case(g, X, weights, label, index, seeds)}
+             for label, index, seeds in pick_cases(groups)]
+    (GOLDEN / "planted.json").write_text(json.dumps({"cases": cases}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
