@@ -1,8 +1,13 @@
 """Command-line harness around the library.
 
 Subcommands: ``conform``, ``comm``, ``team``, ``cardinality``, ``bench``,
-``gen-profiles``, ``sample-seeds``.  Exit codes: 0 success, 1 input error,
-2 infeasible request, 3 non-convergence.
+``gen-profiles``, ``sample-seeds``.  Exit codes: 0 success, 1 input error
+(usage errors included), 2 infeasible request, 3 non-convergence.
+
+Every flag is declared once, in ``FLAGS``: its name, parsing, default and
+the subcommands that accept it.  ``--config FILE`` supplies flags as the
+keys of a JSON object, and the same parser checks their values; explicit
+flags win over the file, which wins over the defaults.
 
 Disconnected input graphs are restricted to their largest component (with a
 logged warning) for every command except ``conform``, which is well-defined
@@ -19,25 +24,23 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fileio
-from .community import (PEEL_VARIANTS, TREE_VARIANTS, WEIGHT_NORMS,
-                        peel_community, proxy_weights, tree_community)
+from .community import VARIANT_TAGS, WEIGHT_NORMS, community_solver, proxy_weights
 from .conformation import conform, social_tension
 from .errors import ConvergenceError, InfeasibleError, InputError
 from .evaluation import (PROFILE_SCHEMES, generate_profiles,
                          sample_seed_groups, standardized_metrics)
 from .graph import Graph, induced_subgraph, largest_component
 from .rng import derive_rng, derive_seed
-from .teams import SkillMap, community_solver, form_team, greedy_fixed_size
+from .teams import SkillMap, form_team, greedy_fixed_size
 
 log = logging.getLogger("tensionkit")
 
-VARIANT_TAGS = ("tree-hops", "tree-weights", "peel-random", "peel-sum", "peel-max")
 METRIC_COLUMNS = ("run_id", "algorithm", "variant", "group", "tau", "mpe", "mpc",
                   "raw_tension", "nodes", "edges", "seconds", "status")
 TEAM_COLUMNS = METRIC_COLUMNS + ("step2_noop",)
@@ -45,58 +48,64 @@ BENCH_COLUMNS = ("graph", "nodes", "edges", "algorithm", "variant", "runs",
                  "mean_seconds", "std_seconds")
 
 
+class Flag(NamedTuple):
+    """One ``--name`` flag and the subcommands (space-separated) that take it."""
+
+    name: str
+    commands: str
+    help: str
+    default: object = None
+    type: Callable | None = None
+    choices: tuple | None = None
+    action: object = None  # "append" for a repeatable flag, or a switch
+
+
+_GENERATING = "comm team cardinality bench gen-profiles"
+_SAMPLING = "comm bench sample-seeds"
+_SEARCHING = "comm team cardinality bench"
+
+FLAGS = (
+    Flag("graph", "conform comm team cardinality gen-profiles sample-seeds",
+         "edge list file"),
+    Flag("graph", "bench", "edge list file (repeatable)", action="append"),
+    Flag("profiles", "conform comm team cardinality", "latent profile matrix file"),
+    Flag("scheme", _GENERATING, "generate profiles instead of reading them",
+         choices=PROFILE_SCHEMES),
+    Flag("attrs", _GENERATING, "attribute count for generated profiles", 1, int),
+    Flag("lam", _GENERATING, "rate of the exponential scheme", 6.0, float),
+    Flag("alpha", _GENERATING, "zeroed fraction of the thresholded scheme", 0.6, float),
+    Flag("incidence", "comm team cardinality gen-profiles",
+         "incidence file for the eigenvector scheme"),
+    Flag("seeds", "comm", "seed sets file"),
+    Flag("seed-size", _SAMPLING, "size of sampled seed sets", 7, int),
+    Flag("n-candidates", _SAMPLING, "candidate pool for seed sampling", 1000, int),
+    Flag("per-group", _SAMPLING, "max seed sets kept per dispersion group", 30, int),
+    Flag("skills", "team", "skill counts file"),
+    Flag("skill-threshold", "team", "count needed to hold a skill", 4, int),
+    Flag("project", "team", "project file (one line of skills)"),
+    Flag("n-projects", "team", "number of sampled projects", 80, int),
+    Flag("k", "cardinality", "team size", type=int),
+    Flag("repeats", "bench", "timed repetitions per bench cell", 3, int),
+    Flag("variant", "comm team bench", "algorithm variant (repeatable; default all)",
+         VARIANT_TAGS, choices=VARIANT_TAGS, action="append"),
+    Flag("tol", "conform", "conformation tolerance", 1e-9, float),
+    Flag("max-iter", "conform", "conformation iteration budget", type=int),
+    Flag("weight-norm", _SEARCHING, "norm for multi-attribute edge weights", "l2",
+         choices=WEIGHT_NORMS),
+    Flag("seed", _SEARCHING + " gen-profiles sample-seeds", "master random seed", 0, int),
+    Flag("timing", "comm team cardinality",
+         "record wall-clock seconds in CSV rows (--no-timing for "
+         "byte-reproducible outputs)", True, action=argparse.BooleanOptionalAction),
+    Flag("out", "conform " + _SEARCHING + " gen-profiles sample-seeds", "output path"),
+)
+
+
+def _flags_of(command: str) -> list[Flag]:
+    return [f for f in FLAGS if command in f.commands.split()]
+
+
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
-
-
-def _split_tag(tag: str) -> tuple[str, str]:
-    if tag not in VARIANT_TAGS:
-        raise InputError(f"unknown variant {tag!r} (expected one of {VARIANT_TAGS})")
-    algorithm, variant = tag.split("-", 1)
-    return algorithm, variant
-
-
-@dataclass
-class RunConfig:
-    """One experiment configuration; built from flags plus an optional
-    JSON config file (flags win)."""
-
-    mode: str
-    graph_path: str | None = None
-    profiles_path: str | None = None
-    scheme: str | None = None
-    attrs: int = 1
-    lam: float = 6.0
-    alpha: float = 0.6
-    incidence_path: str | None = None
-    seeds_path: str | None = None
-    seed_size: int = 7
-    n_candidates: int = 1000
-    per_group: int = 30
-    skills_path: str | None = None
-    project_path: str | None = None
-    n_projects: int = 80
-    k: int | None = None
-    variants: tuple[str, ...] = VARIANT_TAGS
-    tol: float = 1e-9
-    max_iter: int | None = None
-    weight_norm: str = "l2"
-    skill_threshold: int = 4
-    rng_seed: int = 0
-    out: str | None = None
-    timing: bool = True
-    repeats: int = 3
-    graph_paths: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
-        if self.weight_norm not in WEIGHT_NORMS:
-            raise InputError(f"unknown weight norm {self.weight_norm!r}")
-        for tag in self.variants:
-            _split_tag(tag)
-        if self.profiles_path is not None and self.scheme is not None:
-            raise InputError("give either a profiles file or a generation scheme, not both")
 
 
 # -- shared loading steps ----------------------------------------------------
@@ -120,35 +129,32 @@ def _restrict(g: Graph) -> tuple[Graph, list[int]]:
     return induced_subgraph(g, comp)
 
 
-def _load_working_profiles(cfg: RunConfig, g_full: Graph, olds: list[int]) -> np.ndarray:
-    """Profiles aligned with the working (possibly restricted) graph."""
-    if cfg.profiles_path is not None:
-        X = fileio.read_profiles(cfg.profiles_path, g_full.node_count)
-        return X[olds]
-    scheme = cfg.scheme or "uniform"
+def _scheme_profiles(args, node_count: int, olds: list[int]) -> np.ndarray:
+    """Profiles generated by ``--scheme`` for the nodes ``olds`` of a
+    ``node_count``-node graph."""
+    scheme = args.scheme or "uniform"
     incidence = None
     if scheme == "eigenvector":
-        if cfg.incidence_path is None:
+        if args.incidence is None:
             raise InputError("the eigenvector scheme needs --incidence")
-        M, _ = fileio.read_incidence(cfg.incidence_path, g_full.node_count)
+        M, _ = fileio.read_incidence(args.incidence, node_count)
         incidence = M[olds]
-    return generate_profiles(len(olds), cfg.attrs, scheme,
-                             rng_seed=derive_seed(cfg.rng_seed, "profiles"),
-                             lam=cfg.lam, alpha=cfg.alpha, incidence=incidence)
+    return generate_profiles(len(olds), args.attrs, scheme,
+                             rng_seed=derive_seed(args.seed, "profiles"),
+                             lam=args.lam, alpha=args.alpha, incidence=incidence)
 
 
-def _solve_tag(tag: str, g, latent, seeds, weights, run_id: str, master_seed: int):
-    algorithm, variant = _split_tag(tag)
-    if algorithm == "tree":
-        return tree_community(g, latent, seeds, variant=variant, weights=weights)
-    rng_seed = derive_seed(master_seed, f"peel-random:{run_id}")
-    return peel_community(g, latent, seeds, variant=variant,
-                          rng_seed=rng_seed, weights=weights)
+def _load_working_profiles(args, g_full: Graph, olds: list[int]) -> np.ndarray:
+    """Profiles aligned with the working (possibly restricted) graph."""
+    if args.profiles is None:
+        return _scheme_profiles(args, g_full.node_count, olds)
+    if args.scheme is not None:
+        raise InputError("give either a profiles file or a generation scheme, not both")
+    return fileio.read_profiles(args.profiles, g_full.node_count)[olds]
 
 
 def _write_rows(out, columns, rows) -> None:
     if out is None:
-        w = sys.stdout
         print(",".join(columns))
         for r in rows:
             print(",".join(str(x) for x in r))
@@ -157,43 +163,45 @@ def _write_rows(out, columns, rows) -> None:
     fileio.write_csv(out, columns, rows)
 
 
-# -- conform -----------------------------------------------------------------
+def _ok_cells(met, sol, t0: float, timing: bool) -> list[str]:
+    seconds = f"{time.perf_counter() - t0:.4f}" if timing else ""
+    return [_fmt(met.tau), _fmt(met.mpe), _fmt(met.mpc), _fmt(met.raw_tension),
+            str(len(sol.nodes)), str(sol.edges_induced), seconds, "ok"]
 
-def run_conform(cfg: RunConfig) -> tuple[np.ndarray, float, int]:
-    g = _load_graph(cfg.graph_path)  # no component restriction here
-    if cfg.profiles_path is None:
+
+def _failed_cells(status: str) -> list[str]:
+    return [""] * 7 + [status]
+
+
+# -- subcommands: the CSV-writing ones return (columns, rows) -----------------
+
+def cmd_conform(args) -> None:
+    g = _load_graph(args.graph)  # no component restriction here
+    if args.profiles is None:
         raise InputError("conform needs a profiles file (--profiles)")
-    X = fileio.read_profiles(cfg.profiles_path, g.node_count)
-    res = conform(g, X, tol=cfg.tol, max_iter=cfg.max_iter)
+    X = fileio.read_profiles(args.profiles, g.node_count)
+    res = conform(g, X, tol=args.tol, max_iter=args.max_iter)
     tension = social_tension(g, X, res.conformed)
-    return res.conformed, tension, res.iterations
+    if args.out:
+        fileio.ensure_parent(args.out)
+        fileio.write_profiles(args.out, res.conformed, tension=tension)
+    print(f"converged in {res.iterations} iterations; social tension {tension:.12f}")
 
 
-def cmd_conform(cfg: RunConfig) -> int:
-    conformed, tension, iterations = run_conform(cfg)
-    if cfg.out:
-        fileio.ensure_parent(cfg.out)
-        fileio.write_profiles(cfg.out, conformed, tension=tension)
-    print(f"converged in {iterations} iterations; social tension {tension:.12f}")
-    return 0
-
-
-# -- comm --------------------------------------------------------------------
-
-def run_comm(cfg: RunConfig) -> tuple[tuple[str, ...], list[list[str]]]:
-    g_full = _load_graph(cfg.graph_path)
+def run_comm(args) -> tuple[tuple[str, ...], list[list[str]]]:
+    g_full = _load_graph(args.graph)
     g, olds = _restrict(g_full)
     new_of = {old: new for new, old in enumerate(olds)}
-    X = _load_working_profiles(cfg, g_full, olds)
-    weights = proxy_weights(g, X, cfg.weight_norm)
+    X = _load_working_profiles(args, g_full, olds)
+    weights = proxy_weights(g, X, args.weight_norm)
 
-    if cfg.seeds_path is not None:
-        raw_sets = fileio.read_seed_sets(cfg.seeds_path, g_full.node_count)
+    if args.seeds is not None:
+        raw_sets = fileio.read_seed_sets(args.seeds, g_full.node_count)
         groups = [("file", raw_sets)]
     else:
-        sampled = sample_seed_groups(g, cfg.seed_size, cfg.n_candidates,
-                                     cfg.per_group,
-                                     rng_seed=derive_seed(cfg.rng_seed, "seed-sampling"))
+        sampled = sample_seed_groups(g, args.seed_size, args.n_candidates,
+                                     args.per_group,
+                                     rng_seed=derive_seed(args.seed, "seed-sampling"))
         # sampled sets live in working-graph ids; report original ids upstream
         groups = [(grp.label, [tuple(olds[v] for v in s) for s in grp.sets])
                   for grp in sampled]
@@ -204,148 +212,120 @@ def run_comm(cfg: RunConfig) -> tuple[tuple[str, ...], list[list[str]]]:
             run_id = f"{label}-{idx:03d}"
             mapped = [new_of[v] for v in seed_set if v in new_of]
             missing = len(mapped) != len(seed_set)
-            for tag in cfg.variants:
-                algorithm, variant = _split_tag(tag)
+            for tag in args.variant:
+                algorithm, variant = tag.split("-", 1)
                 base = [run_id, algorithm, variant, label]
                 if missing:
-                    rows.append(base + ["", "", "", "", "", "", "",
-                                        "disconnected seeds"])
+                    rows.append(base + _failed_cells("disconnected seeds"))
                     continue
                 t0 = time.perf_counter()
                 try:
-                    sol = _solve_tag(tag, g, X, mapped, weights, run_id, cfg.rng_seed)
+                    solver = community_solver(
+                        algorithm, variant,
+                        rng_seed=derive_seed(args.seed, f"peel-random:{run_id}"))
+                    sol = solver(g, X, mapped, weights)
                     met = standardized_metrics(g, weights, sol, mapped)
                 except (InfeasibleError, InputError) as e:
-                    rows.append(base + ["", "", "", "", "", "", "", str(e)])
+                    rows.append(base + _failed_cells(str(e)))
                     continue
-                seconds = f"{time.perf_counter() - t0:.4f}" if cfg.timing else ""
-                rows.append(base + [_fmt(met.tau), _fmt(met.mpe), _fmt(met.mpc),
-                                    _fmt(met.raw_tension), str(len(sol.nodes)),
-                                    str(sol.edges_induced), seconds, "ok"])
+                rows.append(base + _ok_cells(met, sol, t0, args.timing))
     return METRIC_COLUMNS, rows
 
 
-def cmd_comm(cfg: RunConfig) -> int:
-    columns, rows = run_comm(cfg)
-    _write_rows(cfg.out, columns, rows)
-    return 0
-
-
-# -- team --------------------------------------------------------------------
-
-def run_team(cfg: RunConfig) -> tuple[tuple[str, ...], list[list[str]]]:
-    g_full = _load_graph(cfg.graph_path)
+def run_team(args) -> tuple[tuple[str, ...], list[list[str]]]:
+    g_full = _load_graph(args.graph)
     g, olds = _restrict(g_full)
     new_of = {old: new for new, old in enumerate(olds)}
-    X = _load_working_profiles(cfg, g_full, olds)
-    weights = proxy_weights(g, X, cfg.weight_norm)
+    X = _load_working_profiles(args, g_full, olds)
+    weights = proxy_weights(g, X, args.weight_norm)
 
-    if cfg.skills_path is None:
+    if args.skills is None:
         raise InputError("team mode needs a skills file (--skills)")
-    entries_full = fileio.read_skill_counts(cfg.skills_path)
+    entries_full = fileio.read_skill_counts(args.skills)
     dropped = sum(1 for node, _, _ in entries_full if node not in new_of)
     if dropped:
         log.warning("%d skill entries reference nodes outside the working component", dropped)
     entries = [(new_of[node], label, count) for node, label, count in entries_full
                if node in new_of]
-    skills = SkillMap.from_counts(g.node_count, entries, threshold=cfg.skill_threshold)
+    skills = SkillMap.from_counts(g.node_count, entries, threshold=args.skill_threshold)
 
-    if cfg.project_path is not None:
-        projects = [fileio.read_project(cfg.project_path)]
+    if args.project is not None:
+        projects = [fileio.read_project(args.project)]
     else:
-        rng = derive_rng(cfg.rng_seed, "projects")
+        rng = derive_rng(args.seed, "projects")
         available = [lab for lab, holders in zip(skills.labels, skills.holders) if holders]
         if len(available) < 3:
             raise InfeasibleError("fewer than three coverable skills: cannot sample projects")
         projects = []
-        for _ in range(cfg.n_projects):
+        for _ in range(args.n_projects):
             size = min(int(rng.integers(3, 14)), len(available))
             picks = rng.choice(len(available), size=size, replace=False)
             projects.append([available[i] for i in sorted(picks)])
 
     rows: list[list[str]] = []
     for p_idx, labels in enumerate(projects):
-        for tag in cfg.variants:
-            algorithm, variant = _split_tag(tag)
+        for tag in args.variant:
+            algorithm, variant = tag.split("-", 1)
             run_id = f"P{p_idx:03d}"
             base = [run_id, algorithm, variant, "team"]
             t0 = time.perf_counter()
             try:
                 solver = community_solver(
                     algorithm, variant,
-                    rng_seed=derive_seed(cfg.rng_seed, f"peel-random:{run_id}"))
+                    rng_seed=derive_seed(args.seed, f"peel-random:{run_id}"))
                 team = form_team(g, X, skills, labels, solver,
-                                 weights=weights, weight_norm=cfg.weight_norm)
+                                 weights=weights, weight_norm=args.weight_norm)
                 met = standardized_metrics(g, weights, team.solution,
                                            sorted(team.step1_individuals))
             except (InfeasibleError, InputError) as e:
-                rows.append(base + ["", "", "", "", "", "", "", str(e), ""])
+                rows.append(base + _failed_cells(str(e)) + [""])
                 continue
-            seconds = f"{time.perf_counter() - t0:.4f}" if cfg.timing else ""
-            sol = team.solution
-            rows.append(base + [_fmt(met.tau), _fmt(met.mpe), _fmt(met.mpc),
-                                _fmt(met.raw_tension), str(len(sol.nodes)),
-                                str(sol.edges_induced), seconds, "ok",
-                                "1" if team.step2_noop else "0"])
+            rows.append(base + _ok_cells(met, team.solution, t0, args.timing)
+                        + ["1" if team.step2_noop else "0"])
     return TEAM_COLUMNS, rows
 
 
-def cmd_team(cfg: RunConfig) -> int:
-    columns, rows = run_team(cfg)
-    _write_rows(cfg.out, columns, rows)
-    return 0
-
-
-# -- cardinality -------------------------------------------------------------
-
-def run_cardinality(cfg: RunConfig) -> tuple[tuple[str, ...], list[list[str]]]:
-    if cfg.k is None:
+def run_cardinality(args) -> tuple[tuple[str, ...], list[list[str]]]:
+    if args.k is None:
         raise InputError("cardinality mode needs a team size (--k)")
-    g_full = _load_graph(cfg.graph_path)
+    g_full = _load_graph(args.graph)
     g, olds = _restrict(g_full)
-    X = _load_working_profiles(cfg, g_full, olds)
-    weights = proxy_weights(g, X, cfg.weight_norm)
+    X = _load_working_profiles(args, g_full, olds)
+    weights = proxy_weights(g, X, args.weight_norm)
     t0 = time.perf_counter()
-    sol = greedy_fixed_size(g, X, cfg.k, weights=weights,
-                            rng_seed=derive_seed(cfg.rng_seed, "cardinality-starts"))
-    seconds = f"{time.perf_counter() - t0:.4f}" if cfg.timing else ""
-    row = [f"k{cfg.k}", "greedy", "-", "-", "", "", "", _fmt(sol.tension),
+    sol = greedy_fixed_size(g, X, args.k, weights=weights,
+                            rng_seed=derive_seed(args.seed, "cardinality-starts"))
+    seconds = f"{time.perf_counter() - t0:.4f}" if args.timing else ""
+    row = [f"k{args.k}", "greedy", "-", "-", "", "", "", _fmt(sol.tension),
            str(len(sol.nodes)), str(sol.edges_induced), seconds, "ok"]
     return METRIC_COLUMNS, [row]
 
 
-def cmd_cardinality(cfg: RunConfig) -> int:
-    columns, rows = run_cardinality(cfg)
-    _write_rows(cfg.out, columns, rows)
-    return 0
-
-
-# -- bench -------------------------------------------------------------------
-
-def run_bench(cfg: RunConfig) -> tuple[tuple[str, ...], list[list[str]]]:
-    paths = cfg.graph_paths or ((cfg.graph_path,) if cfg.graph_path else ())
-    if not paths:
+def run_bench(args) -> tuple[tuple[str, ...], list[list[str]]]:
+    if not args.graph:
         raise InputError("bench mode needs at least one graph file (--graph)")
     rows: list[list[str]] = []
-    for path in paths:
+    for path in args.graph:
         name = Path(path).name
         g, _ = _restrict(_load_graph(path))
-        X = generate_profiles(g.node_count, cfg.attrs, cfg.scheme or "uniform",
-                              rng_seed=derive_seed(cfg.rng_seed, f"bench-profiles:{name}"),
-                              lam=cfg.lam, alpha=cfg.alpha)
-        weights = proxy_weights(g, X, cfg.weight_norm)
-        groups = sample_seed_groups(g, cfg.seed_size, cfg.n_candidates, cfg.per_group,
-                                    rng_seed=derive_seed(cfg.rng_seed, f"bench-seeds:{name}"))
-        pool = [s for grp in groups for s in grp.sets][:cfg.repeats]
+        X = generate_profiles(g.node_count, args.attrs, args.scheme or "uniform",
+                              rng_seed=derive_seed(args.seed, f"bench-profiles:{name}"),
+                              lam=args.lam, alpha=args.alpha)
+        weights = proxy_weights(g, X, args.weight_norm)
+        groups = sample_seed_groups(g, args.seed_size, args.n_candidates, args.per_group,
+                                    rng_seed=derive_seed(args.seed, f"bench-seeds:{name}"))
+        pool = [s for grp in groups for s in grp.sets][:args.repeats]
         if not pool:
             raise InfeasibleError(f"no seed sets could be sampled for {name}")
-        for tag in cfg.variants:
-            algorithm, variant = _split_tag(tag)
+        for tag in args.variant:
+            algorithm, variant = tag.split("-", 1)
             times = []
             for ridx, seeds in enumerate(pool):
+                solve = community_solver(
+                    algorithm, variant,
+                    rng_seed=derive_seed(args.seed, f"peel-random:bench-{name}-{ridx:03d}"))
                 t0 = time.perf_counter()
-                _solve_tag(tag, g, X, list(seeds), weights,
-                           f"bench-{name}-{ridx:03d}", cfg.rng_seed)
+                solve(g, X, list(seeds), weights)
                 times.append(time.perf_counter() - t0)
             rows.append([name, str(g.node_count), str(g.edge_count), algorithm,
                          variant, str(len(times)), f"{np.mean(times):.6f}",
@@ -353,190 +333,132 @@ def run_bench(cfg: RunConfig) -> tuple[tuple[str, ...], list[list[str]]]:
     return BENCH_COLUMNS, rows
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    columns, rows = run_bench(cfg)
-    _write_rows(cfg.out, columns, rows)
-    return 0
-
-
-# -- gen-profiles & sample-seeds ----------------------------------------------
-
-def cmd_gen_profiles(cfg: RunConfig) -> int:
-    if cfg.out is None:
+def cmd_gen_profiles(args) -> None:
+    if args.out is None:
         raise InputError("gen-profiles needs an output path (--out)")
-    scheme = cfg.scheme or "uniform"
-    if cfg.graph_path is not None:
-        n = _load_graph(cfg.graph_path).node_count
-    else:
-        raise InputError("gen-profiles needs --graph to size the matrix")
-    incidence = None
-    if scheme == "eigenvector":
-        if cfg.incidence_path is None:
-            raise InputError("the eigenvector scheme needs --incidence")
-        incidence, _ = fileio.read_incidence(cfg.incidence_path, n)
-    X = generate_profiles(n, cfg.attrs, scheme,
-                          rng_seed=derive_seed(cfg.rng_seed, "profiles"),
-                          lam=cfg.lam, alpha=cfg.alpha, incidence=incidence)
-    fileio.ensure_parent(cfg.out)
-    fileio.write_profiles(cfg.out, X)
-    print(f"wrote {X.shape[0]}x{X.shape[1]} profile matrix to {cfg.out}")
-    return 0
+    n = _load_graph(args.graph).node_count
+    X = _scheme_profiles(args, n, list(range(n)))
+    fileio.ensure_parent(args.out)
+    fileio.write_profiles(args.out, X)
+    print(f"wrote {X.shape[0]}x{X.shape[1]} profile matrix to {args.out}")
 
 
-def cmd_sample_seeds(cfg: RunConfig) -> int:
-    if cfg.out is None:
+def cmd_sample_seeds(args) -> None:
+    if args.out is None:
         raise InputError("sample-seeds needs an output prefix (--out)")
-    g_full = _load_graph(cfg.graph_path)
+    g_full = _load_graph(args.graph)
     g, olds = _restrict(g_full)
-    groups = sample_seed_groups(g, cfg.seed_size, cfg.n_candidates, cfg.per_group,
-                                rng_seed=derive_seed(cfg.rng_seed, "seed-sampling"))
-    fileio.ensure_parent(cfg.out)
+    groups = sample_seed_groups(g, args.seed_size, args.n_candidates, args.per_group,
+                                rng_seed=derive_seed(args.seed, "seed-sampling"))
+    fileio.ensure_parent(args.out)
     for grp in groups:
-        path = f"{cfg.out}.{grp.label}"
+        path = f"{args.out}.{grp.label}"
         fileio.write_seed_sets(path, [tuple(olds[v] for v in s) for s in grp.sets])
         print(f"wrote {len(grp.sets)} seed sets to {path}")
-    return 0
+
+
+COMMANDS = {
+    "conform": (cmd_conform, "iterate profiles to equilibrium, report tension"),
+    "comm": (run_comm, "community search around seed sets, one CSV row per run"),
+    "team": (run_team, "team formation for skill projects"),
+    "cardinality": (run_cardinality, "best connected team of exactly k members"),
+    "bench": (run_bench, "mean and stddev runtime per (graph, variant)"),
+    "gen-profiles": (cmd_gen_profiles, "write a generated latent profile matrix"),
+    "sample-seeds": (cmd_sample_seeds, "sample seed sets, bucketed by dispersion"),
+}
 
 
 # -- argument parsing ----------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an :class:`InputError` (exit code 1)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensionkit",
         description="Low-tension community search and team formation in attributed networks")
-    sub = parser.add_subparsers(dest="mode", required=True)
-
-    def add_common(p, *, graph_repeatable=False):
-        if graph_repeatable:
-            p.add_argument("--graph", action="append", dest="graph",
-                           help="edge list file (repeatable)")
-        else:
-            p.add_argument("--graph", help="edge list file")
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--profiles", dest="profiles", help="latent profile matrix file")
-        p.add_argument("--scheme", choices=PROFILE_SCHEMES,
-                       help="generate profiles instead of reading them")
-        p.add_argument("--attrs", type=int, help="attribute count for generated profiles")
-        p.add_argument("--lam", type=float, help="rate of the exponential scheme")
-        p.add_argument("--alpha", type=float, help="zeroed fraction of the thresholded scheme")
-        p.add_argument("--incidence", dest="incidence",
-                       help="incidence file for the eigenvector scheme")
-        p.add_argument("--variant", action="append", dest="variant",
-                       choices=VARIANT_TAGS, help="algorithm variant (repeatable)")
-        p.add_argument("--tol", type=float, help="conformation tolerance")
-        p.add_argument("--max-iter", type=int, dest="max_iter",
-                       help="conformation iteration budget")
-        p.add_argument("--weight-norm", dest="weight_norm", choices=WEIGHT_NORMS,
-                       help="norm for multi-attribute edge weights")
-        p.add_argument("--skill-threshold", type=int, dest="skill_threshold",
-                       help="count needed to hold a skill")
-        p.add_argument("--seed", type=int, dest="seed", help="master random seed")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--timing", action=argparse.BooleanOptionalAction, default=None,
-                       help="record wall-clock seconds in CSV rows (--no-timing for "
-                            "byte-reproducible outputs)")
-        p.add_argument("--seeds", dest="seeds", help="seed sets file")
-        p.add_argument("--seed-size", type=int, dest="seed_size",
-                       help="size of sampled seed sets")
-        p.add_argument("--n-candidates", type=int, dest="n_candidates",
-                       help="candidate pool for seed sampling")
-        p.add_argument("--per-group", type=int, dest="per_group",
-                       help="max seed sets kept per dispersion group")
-        p.add_argument("--skills", dest="skills", help="skill counts file")
-        p.add_argument("--project", dest="project", help="project file (one line of skills)")
-        p.add_argument("--n-projects", type=int, dest="n_projects",
-                       help="number of sampled projects")
-        p.add_argument("--k", type=int, help="team size for cardinality mode")
-        p.add_argument("--repeats", type=int, help="timed repetitions per bench cell")
-
-    for mode in ("conform", "comm", "team", "cardinality", "gen-profiles", "sample-seeds"):
-        add_common(sub.add_parser(mode))
-    add_common(sub.add_parser("bench"), graph_repeatable=True)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary, description=summary)
+        p.add_argument("--config", help="JSON file of flags; explicit flags win")
+        for flag in _flags_of(command):
+            extra = {key: getattr(flag, key) for key in ("type", "choices", "action")
+                     if getattr(flag, key) is not None}
+            # absent flags stay unset, so config values and defaults can fill in
+            p.add_argument(f"--{flag.name}", help=flag.help,
+                           default=argparse.SUPPRESS, **extra)
     return parser
 
 
-_DEFAULTS = dict(attrs=1, lam=6.0, alpha=0.6, tol=1e-9, max_iter=None,
-                 weight_norm="l2", skill_threshold=4, seed=0, timing=True,
-                 seed_size=7, n_candidates=1000, per_group=30, n_projects=80,
-                 repeats=3, variant=list(VARIANT_TAGS))
+def _config_argv(path: str, command: str) -> list[str]:
+    """The JSON object in ``path`` as the flags of ``command`` it spells."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as e:
+        raise InputError(f"cannot read config file {path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise InputError(f"config file {path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise InputError("the config file must hold a JSON object")
+    flags = {f.name: f for f in _flags_of(command)}
+    argv: list[str] = []
+    for key, value in obj.items():
+        flag = flags.get(key.replace("_", "-"))
+        if flag is None:
+            raise InputError(f"config key {key!r} is not a flag of {command}")
+        if flag.action == "append":
+            if not isinstance(value, list):
+                raise InputError(f"config key {key!r} takes a list, not {value!r}")
+            items = value
+        else:
+            items = [value]
+        for item in items:
+            if flag.action is argparse.BooleanOptionalAction:
+                kind, ok = "true or false", isinstance(item, bool)
+                token = f"--{flag.name}" if item else f"--no-{flag.name}"
+            else:
+                numeric = flag.type in (int, float)
+                kind = "a number" if numeric else "a string"
+                ok = (not isinstance(item, bool)
+                      and isinstance(item, (int, float) if numeric else str))
+                token = f"--{flag.name}={item}"
+            if not ok:
+                raise InputError(f"config key {key!r} takes {kind}, not {item!r}")
+            argv.append(token)
+    return argv
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    values = {k: v for k, v in vars(args).items() if k not in ("mode", "config")}
-    if getattr(args, "config", None):
+def parse_args(argv=None) -> argparse.Namespace:
+    """Flags of one subcommand: explicit flags, then ``--config`` keys, then
+    the defaults of ``FLAGS``."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    values = {f.name.replace("-", "_"): f.default for f in _flags_of(args.command)}
+    if args.config is not None:
+        tokens = _config_argv(args.config, args.command)
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except OSError as e:
-            raise InputError(f"cannot read config file {args.config}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise InputError(f"config file {args.config} is not valid JSON: {e}") from None
-        if not isinstance(overrides, dict):
-            raise InputError("the config file must hold a JSON object")
-        for key, val in overrides.items():
-            key = key.replace("-", "_")
-            if key not in values:
-                raise InputError(f"unknown config key {key!r}")
-            if values[key] is None:
-                values[key] = val
-    for key, default in _DEFAULTS.items():
-        if values.get(key) is None:
-            values[key] = default
-
-    graph = values.get("graph")
-    graph_paths: tuple[str, ...] = ()
-    if isinstance(graph, list):
-        graph_paths = tuple(graph)
-        graph = graph[0] if graph else None
-    return RunConfig(
-        mode=args.mode,
-        graph_path=graph,
-        profiles_path=values.get("profiles"),
-        scheme=values.get("scheme"),
-        attrs=values["attrs"],
-        lam=values["lam"],
-        alpha=values["alpha"],
-        incidence_path=values.get("incidence"),
-        seeds_path=values.get("seeds"),
-        seed_size=values["seed_size"],
-        n_candidates=values["n_candidates"],
-        per_group=values["per_group"],
-        skills_path=values.get("skills"),
-        project_path=values.get("project"),
-        n_projects=values["n_projects"],
-        k=values.get("k"),
-        variants=tuple(values["variant"]),
-        tol=values["tol"],
-        max_iter=values["max_iter"],
-        weight_norm=values["weight_norm"],
-        skill_threshold=values["skill_threshold"],
-        rng_seed=values["seed"],
-        out=values.get("out"),
-        timing=values["timing"],
-        repeats=values["repeats"],
-        graph_paths=graph_paths,
-    )
-
-
-_COMMANDS = {
-    "conform": cmd_conform,
-    "comm": cmd_comm,
-    "team": cmd_team,
-    "cardinality": cmd_cardinality,
-    "bench": cmd_bench,
-    "gen-profiles": cmd_gen_profiles,
-    "sample-seeds": cmd_sample_seeds,
-}
+            values.update(vars(parser.parse_args([args.command, *tokens])))
+        except InputError as e:
+            raise InputError(f"config file {args.config}: {e}") from None
+    values.update(vars(args))
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return _COMMANDS[args.mode](cfg)
+        args = parse_args(argv)
+        result = COMMANDS[args.command][0](args)
+        if result is not None:
+            _write_rows(args.out, *result)
+        return 0
     except InputError as e:
         log.error("input error: %s", e)
         return 1

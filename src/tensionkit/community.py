@@ -21,16 +21,20 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .conformation import conform, social_tension
+from .conformation import conform, profile_matrix, social_tension
 from .errors import InfeasibleError, InputError
-from .graph import (EdgeWeights, Graph, induced_subgraph,
+from .graph import (EdgeWeights, Graph, connected_components, induced_subgraph,
                     minimum_spanning_tree, path_distances, _reconstruct_path)
 
 TREE_VARIANTS = ("hops", "weights")
 PEEL_VARIANTS = ("random", "sum", "max")
+# the paper's five variants as ``algorithm-variant`` tags, trees first
+VARIANT_TAGS = (tuple(f"tree-{v}" for v in TREE_VARIANTS)
+                + tuple(f"peel-{v}" for v in PEEL_VARIANTS))
 
 WEIGHT_NORMS = ("l2", "l1", "max")
 
@@ -51,11 +55,7 @@ class Solution:
 def proxy_weights(g: Graph, latent, norm: str = "l2") -> EdgeWeights:
     """Per-edge profile difference: ``|x_u - x_v|`` for a single attribute,
     a vector norm of the difference for several (``l2`` by default)."""
-    X = np.asarray(latent, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] != g.node_count:
-        raise InputError("profile matrix does not match the graph's node count")
+    X = profile_matrix(g, latent)
     if norm not in WEIGHT_NORMS:
         raise InputError(f"unknown weight norm {norm!r} (expected one of {WEIGHT_NORMS})")
     ea = g.edge_array()
@@ -84,29 +84,37 @@ def evaluate_solution(g: Graph, latent, nodes, algorithm_tag: str = "custom",
 
     The node set must induce a connected subgraph.
     """
+    X = profile_matrix(g, latent)
     sub, olds = induced_subgraph(g, nodes)
-    if len(olds) > 1:
-        # connectivity via BFS over the induced subgraph
-        dist = [False] * sub.node_count
-        dist[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in sub.neighbors(u):
-                if not dist[v]:
-                    dist[v] = True
-                    count += 1
-                    queue.append(v)
-        if count != sub.node_count:
-            raise InfeasibleError("disconnected node set cannot be scored as a community")
-    X = np.asarray(latent, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    if len(connected_components(sub)) > 1:
+        raise InfeasibleError("disconnected node set cannot be scored as a community")
     sub_latent = X[olds]
     res = conform(sub, sub_latent, tol=tol)
     tension = social_tension(sub, sub_latent, res.conformed)
     return Solution(frozenset(olds), sub.edge_count, tension, algorithm_tag)
+
+
+Solver = Callable[[Graph, np.ndarray, list[int], EdgeWeights | None], Solution]
+
+
+def community_solver(algorithm: str, variant: str, rng_seed: int = 0) -> Solver:
+    """A uniform solver handle ``solve(g, latent, seeds, weights=None)`` for
+    one of the :data:`VARIANT_TAGS`; ``rng_seed`` fixes ``peel-random``.
+
+    Raises :class:`InputError` for an unknown pair at once.
+    """
+    tag = f"{algorithm}-{variant}"
+    if tag not in VARIANT_TAGS:
+        raise InputError(f"unknown algorithm and variant {tag!r} "
+                         f"(expected one of {VARIANT_TAGS})")
+    if algorithm == "tree":
+        def solve(g, latent, seeds, weights=None):
+            return tree_community(g, latent, seeds, variant=variant, weights=weights)
+    else:
+        def solve(g, latent, seeds, weights=None):
+            return peel_community(g, latent, seeds, variant=variant,
+                                  rng_seed=rng_seed, weights=weights)
+    return solve
 
 
 # -- bottom-up: metric-closure spanning tree --------------------------------

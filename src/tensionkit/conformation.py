@@ -30,8 +30,15 @@ class ConformationResult:
     residual: float
 
 
-def _check_profiles(g: Graph, latent) -> np.ndarray:
-    X = np.asarray(latent, dtype=np.float64)
+def profile_matrix(g: Graph, values, like: np.ndarray | None = None) -> np.ndarray:
+    """``values`` as a float64 (nodes x attributes) matrix; a vector is one
+    attribute column.
+
+    Raises :class:`InputError` unless there is one row per node of ``g``, at
+    least one column, every entry is finite, and (given ``like``) the shape
+    is that of ``like``.
+    """
+    X = np.asarray(values, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2 or X.shape[0] != g.node_count:
@@ -39,6 +46,10 @@ def _check_profiles(g: Graph, latent) -> np.ndarray:
             f"profile matrix shape {X.shape} does not match {g.node_count} nodes")
     if X.shape[1] == 0:
         raise InputError("profile matrix must have at least one attribute column")
+    if like is not None and X.shape != like.shape:
+        raise InputError("conformed matrix shape does not match the latent matrix")
+    if not np.isfinite(X).all():
+        raise InputError("profile matrix holds a NaN or infinite value")
     return X
 
 
@@ -56,7 +67,7 @@ def conform(g: Graph, latent, tol: float = 1e-9,
     Raises :class:`ConvergenceError` carrying the last iterate when the
     iteration budget runs out first.
     """
-    X = _check_profiles(g, latent)
+    X = profile_matrix(g, latent)
     if tol <= 0:
         raise InputError("tol must be positive")
     if max_iter is None:
@@ -81,7 +92,7 @@ def conform(g: Graph, latent, tol: float = 1e-9,
 def equilibrium_solve(g: Graph, latent) -> np.ndarray:
     """Exact equilibrium profiles via a sparse direct solve of
     ``(I + D - A) F = X`` (one right-hand side per attribute column)."""
-    X = _check_profiles(g, latent)
+    X = profile_matrix(g, latent)
     n = g.node_count
     deg = g.degrees().astype(np.float64)
     L = sp.diags(1.0 + deg) - g.adjacency_csr()
@@ -92,12 +103,8 @@ def equilibrium_solve(g: Graph, latent) -> np.ndarray:
 def equilibrium_residual(g: Graph, latent, conformed) -> float:
     """Max-norm fixed-point residual of ``conformed`` under one averaging
     step (0 at the exact equilibrium)."""
-    X = _check_profiles(g, latent)
-    F = np.asarray(conformed, dtype=np.float64)
-    if F.ndim == 1:
-        F = F[:, None]
-    if F.shape != X.shape:
-        raise InputError("conformed matrix shape does not match the latent matrix")
+    X = profile_matrix(g, latent)
+    F = profile_matrix(g, conformed, like=X)
     denom = (1.0 + g.degrees().astype(np.float64))[:, None]
     return float(np.abs((X + g.adjacency_csr() @ F) / denom - F).max())
 
@@ -106,10 +113,8 @@ def node_tension(g: Graph, latent, conformed, i: int) -> float:
     """Tension felt by node ``i``: squared internal gap to its own latent
     profile plus squared disagreement with each neighbor, over all
     attributes."""
-    X = _check_profiles(g, latent)
-    F = np.asarray(conformed, dtype=np.float64)
-    if F.ndim == 1:
-        F = F[:, None]
+    X = profile_matrix(g, latent)
+    F = profile_matrix(g, conformed, like=X)
     if not (0 <= i < g.node_count):
         raise InputError(f"node id {i} outside the graph")
     internal = float(np.sum((X[i] - F[i]) ** 2))
@@ -122,10 +127,8 @@ def node_tension(g: Graph, latent, conformed, i: int) -> float:
 def social_tension(g: Graph, latent, conformed) -> float:
     """Total tension: sum of squared internal gaps plus twice the sum of
     squared disagreements over the edges (each edge is felt at both ends)."""
-    X = _check_profiles(g, latent)
-    F = np.asarray(conformed, dtype=np.float64)
-    if F.ndim == 1:
-        F = F[:, None]
+    X = profile_matrix(g, latent)
+    F = profile_matrix(g, conformed, like=X)
     internal = float(np.sum((X - F) ** 2))
     ea = g.edge_array()
     if len(ea):

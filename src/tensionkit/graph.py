@@ -105,6 +105,8 @@ class EdgeWeights:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (graph.edge_count,):
             raise InputError("edge weight vector does not match the graph's edge list")
+        if not np.isfinite(values).all():
+            raise InputError("edge weights must be finite")
         if len(values) and values.min() < 0:
             raise InputError("edge weights must be nonnegative")
         self.graph = graph
@@ -228,30 +230,6 @@ def largest_component(g: Graph) -> list[int]:
     """Nodes of the largest component (ties: smallest minimum id), sorted."""
     comps = connected_components(g)
     return max(comps, key=lambda c: (len(c), -c[0]))
-
-
-def is_connected_within(g: Graph, candidate: set[int], seeds: Iterable[int]) -> bool:
-    """Whether all ``seeds`` lie in one component of the subgraph induced by
-    ``candidate``.  Seeds outside the candidate set are an error."""
-    seeds = list(seeds)
-    if not seeds:
-        raise InputError("empty node set")
-    for s in seeds:
-        if s not in candidate:
-            raise InputError(f"seed outside candidate set: {s}")
-    targets = set(seeds)
-    start = seeds[0]
-    reached = {start}
-    targets.discard(start)
-    queue = deque([start])
-    while queue and targets:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v in candidate and v not in reached:
-                reached.add(v)
-                targets.discard(v)
-                queue.append(v)
-    return not targets
 
 
 # -- distances and shortest paths ------------------------------------------

@@ -41,18 +41,6 @@ def gnm_graph(n: int, m: int, rng_seed: int = 0) -> Graph:
     return Graph(n, sorted(chosen))
 
 
-def random_connected_graph(n: int, extra_p: float = 0.05, rng_seed: int = 0) -> Graph:
-    """Random attachment tree plus extra G(n, p)-style edges: connected by
-    construction."""
-    rng = np.random.default_rng(rng_seed)
-    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-    for i in range(n - 1):
-        mask = rng.random(n - i - 1) < extra_p
-        for j in np.nonzero(mask)[0]:
-            edges.append((i, i + 1 + int(j)))
-    return Graph(n, edges)
-
-
 def planted_partition_graph(n_blocks: int, block_size: int, p_in: float,
                             p_out: float, rng_seed: int = 0
                             ) -> tuple[Graph, np.ndarray]:

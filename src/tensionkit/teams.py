@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .community import (Solution, evaluate_solution, peel_community,
-                        proxy_weights, tree_community)
+# ``community_solver`` is re-exported: callers also look it up here
+from .community import (Solution, Solver, community_solver, evaluate_solution,
+                        proxy_weights)
+from .conformation import profile_matrix
 from .errors import InfeasibleError, InputError
 from .graph import EdgeWeights, Graph, largest_component
 
@@ -80,23 +82,6 @@ class TeamResult:
     step2_noop: bool
 
 
-Solver = Callable[[Graph, np.ndarray, list[int], EdgeWeights | None], Solution]
-
-
-def community_solver(algorithm: str, variant: str, rng_seed: int = 0) -> Solver:
-    """A uniform solver handle over both community search strategies."""
-    if algorithm == "tree":
-        def solve(g, latent, seeds, weights=None):
-            return tree_community(g, latent, seeds, variant=variant, weights=weights)
-    elif algorithm == "peel":
-        def solve(g, latent, seeds, weights=None):
-            return peel_community(g, latent, seeds, variant=variant,
-                                  rng_seed=rng_seed, weights=weights)
-    else:
-        raise InputError(f"unknown algorithm {algorithm!r} (expected 'tree' or 'peel')")
-    return solve
-
-
 def skill_extended_graph(g: Graph, skills: SkillMap, latent
                          ) -> tuple[Graph, dict[str, int], np.ndarray]:
     """Extend the graph with one node per skill, adjacent to every holder.
@@ -105,11 +90,7 @@ def skill_extended_graph(g: Graph, skills: SkillMap, latent
     holders (zeros when nobody holds the skill).  Returns the extended
     graph, the label -> skill-node-id map, and the extended latent matrix.
     """
-    X = np.asarray(latent, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] != g.node_count:
-        raise InputError("profile matrix does not match the graph's node count")
+    X = profile_matrix(g, latent)
     n = g.node_count
     edges = list(g.edges())
     ids = {label: n + k for k, label in enumerate(skills.labels)}

@@ -12,16 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from tensionkit import (Graph, conform, equilibrium_solve, generate_profiles,
-                        induced_subgraph, largest_component, node_tension,
-                        peel_community, proxy_weights, sample_seed_groups,
-                        seed_connector, social_tension, standardized_metrics,
-                        tree_community)
+from tensionkit import (Graph, community_solver, conform, equilibrium_solve,
+                        generate_profiles, induced_subgraph, largest_component,
+                        node_tension, proxy_weights, sample_seed_groups,
+                        seed_connector, social_tension, standardized_metrics)
 from tensionkit.cli import main
 from tensionkit.rng import derive_seed
 from tensionkit.synthetic import (block_incidence, gnm_graph, gnp_graph,
                                   planted_partition_graph)
-from tensionkit.teams import SkillMap, community_solver, form_team
+from tensionkit.teams import SkillMap, form_team
 
 from conftest import (oracle_is_connected, oracle_min_tension,
                       oracle_steiner_edges, random_graph_and_profiles)
@@ -29,14 +28,6 @@ from conftest import (oracle_is_connected, oracle_min_tension,
 ALL_TAGS = ("tree-hops", "tree-weights", "peel-random", "peel-sum", "peel-max")
 AWARE_TAGS = ("tree-weights", "peel-sum", "peel-max")
 OBLIVIOUS_TAGS = ("tree-hops", "peel-random")
-
-
-def solve_tag(tag, g, latent, seeds, weights, rng_seed=0):
-    algorithm, variant = tag.split("-", 1)
-    if algorithm == "tree":
-        return tree_community(g, latent, seeds, variant=variant, weights=weights)
-    return peel_community(g, latent, seeds, variant=variant,
-                          rng_seed=rng_seed, weights=weights)
 
 
 def test_01_conformation_matches_direct_solve():
@@ -113,7 +104,8 @@ def test_04_every_variant_returns_feasible_communities():
                 rng.choice(g.node_count, size=int(rng.integers(1, 5)), replace=False))
         weights = proxy_weights(g, X)
         for tag in ALL_TAGS:
-            sol = solve_tag(tag, g, X, sorted(q), weights, rng_seed=inst)
+            sol = community_solver(*tag.split("-", 1), rng_seed=inst)(
+                g, X, sorted(q), weights)
             assert q <= sol.nodes, f"{tag}: seeds dropped"
             assert oracle_is_connected(g.node_count, g.edges(), sol.nodes), \
                 f"{tag}: disconnected answer"
@@ -133,7 +125,8 @@ def test_05_variants_track_brute_force_optimum():
                    rng.choice(g.node_count, size=int(rng.integers(1, 4)), replace=False))
         opt = oracle_min_tension(g.node_count, g.edges(), X, q)
         weights = proxy_weights(g, X)
-        best = min(solve_tag(tag, g, X, q, weights, rng_seed=inst).tension
+        best = min(community_solver(*tag.split("-", 1), rng_seed=inst)(
+                       g, X, q, weights).tension
                    for tag in ALL_TAGS)
         assert best >= opt - 1e-7, f"tension {best} beats the optimum {opt}"
         if best <= 2.0 * opt + 1e-9:
@@ -182,7 +175,8 @@ def test_07_planted_communities_show_aware_vs_oblivious_tradeoff():
         for idx, seeds in enumerate(grp.sets):
             for tag in ALL_TAGS:
                 rng_seed = derive_seed(0, f"peel-random:{grp.label}-{idx:03d}")
-                sol = solve_tag(tag, g, X, list(seeds), weights, rng_seed=rng_seed)
+                sol = community_solver(*tag.split("-", 1), rng_seed=rng_seed)(
+                    g, X, list(seeds), weights)
                 met = standardized_metrics(g, weights, sol, list(seeds))
                 taus[tag].append(met.tau)
                 mpes[tag].append(met.mpe)
@@ -232,8 +226,10 @@ def test_08_runtime_ordering_across_sizes():
             times = []
             for ridx, seeds in enumerate(pool):
                 t0 = time.perf_counter()
-                solve_tag(tag, g, X, list(seeds), weights,
-                          rng_seed=derive_seed(0, f"peel-random:bench-{n}-{ridx}"))
+                community_solver(
+                    *tag.split("-", 1),
+                    rng_seed=derive_seed(0, f"peel-random:bench-{n}-{ridx}"))(
+                    g, X, list(seeds), weights)
                 times.append(time.perf_counter() - t0)
             means[tag] = float(np.mean(times))
         report.append("  n=%d: %s" % (

@@ -9,6 +9,7 @@ target launched from the source tree the way pip's generated launcher does.
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -297,6 +298,94 @@ class TestConfigFile:
         cfg = write(tmp_path / "cfg.json", "{not json")
         assert main(["gen-profiles", "--graph", path5, "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 1
+
+
+class TestConfigValuesParsedLikeFlags:
+    def test_list_switch_and_underscored_keys(self, tmp_path, path5):
+        cfg = write(tmp_path / "cfg.json", json.dumps(
+            {"scheme": "uniform", "variant": ["tree-hops", "peel-sum"],
+             "timing": False, "seed_size": 2, "n_candidates": 20, "per_group": 2}))
+        out = tmp_path / "comm.csv"
+        assert main(["comm", "--graph", path5, "--config", cfg, "--out", str(out)]) == 0
+        rows = read_rows(out)[1:]
+        assert rows and {(r[1], r[2]) for r in rows} == {("tree", "hops"), ("peel", "sum")}
+        assert all(r[10] == "" for r in rows)
+
+    def test_flag_replaces_config_list(self, tmp_path, path5):
+        cfg = write(tmp_path / "cfg.json", json.dumps(
+            {"scheme": "uniform", "variant": ["tree-hops", "peel-sum"],
+             "seed-size": 2, "n-candidates": 20, "per-group": 2}))
+        out = tmp_path / "comm.csv"
+        assert main(["comm", "--graph", path5, "--config", cfg,
+                     "--variant", "peel-max", "--out", str(out)]) == 0
+        assert {r[2] for r in read_rows(out)[1:]} == {"max"}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("extra", [
+        ["--variant", "bogus"],
+        ["--weight-norm", "l3"],
+        ["--frobnicate"],
+        ["--seed", "1.5"],
+        ["--tol", "5"],  # a conform flag
+        ["--k", "3"],  # a cardinality flag
+    ])
+    def test_bad_comm_flag_exits_1(self, path5, extra):
+        assert main(["comm", "--graph", path5, "--scheme", "uniform"] + extra) == 1
+
+    def test_flag_of_another_subcommand_exits_1(self, edge_pair):
+        g, x = edge_pair
+        assert main(["conform", "--graph", g, "--profiles", x, "--k", "3"]) == 1
+
+    def test_missing_subcommand_exits_1(self):
+        assert main([]) == 1
+
+    @pytest.mark.parametrize("config", [
+        {"k": "3"},
+        {"attrs": "two"},
+        {"seed": 1.5},
+        {"seed": True},
+        {"variant": "tree-hops"},
+        {"variant": ["bogus"]},
+        {"weight_norm": "l3"},
+        {"timing": "no"},
+        {"out": ["a", "b"]},
+        {"tol": 1e-6},  # a conform flag
+        {"config": "other.json"},
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, path5, config):
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        assert main(["cardinality", "--graph", path5, "--scheme", "uniform",
+                     "--k", "2", "--config", cfg]) == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["comm", "--help"])
+        assert exc.value.code == 0
+        assert "--seed-size" in capsys.readouterr().out
+
+
+HELP_FLAGS = {
+    "conform": "graph profiles tol max-iter out",
+    "comm": "graph profiles scheme attrs lam alpha incidence seeds seed-size "
+            "n-candidates per-group variant weight-norm seed timing out",
+    "team": "graph profiles scheme attrs lam alpha incidence skills skill-threshold "
+            "project n-projects variant weight-norm seed timing out",
+    "cardinality": "graph profiles scheme attrs lam alpha incidence k weight-norm "
+                   "seed timing out",
+    "bench": "graph scheme attrs lam alpha seed-size n-candidates per-group repeats "
+             "variant weight-norm seed out",
+    "gen-profiles": "graph scheme attrs lam alpha incidence seed out",
+    "sample-seeds": "graph seed-size n-candidates per-group seed out",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_lists_exactly_the_subcommands_flags(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert listed == ["--config"] + [f"--{name}" for name in HELP_FLAGS[command].split()]
 
 
 def console_script_command(name):

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
-                        evaluate_solution, peel_community, proxy_weights,
-                        tree_community)
-from tensionkit.community import PEEL_VARIANTS, TREE_VARIANTS, seed_connector
+from tensionkit import (VARIANT_TAGS, EdgeWeights, Graph, InfeasibleError,
+                        InputError, community_solver, evaluate_solution,
+                        peel_community, proxy_weights, tree_community)
+from tensionkit.community import PEEL_VARIANTS, seed_connector
 
 from conftest import (oracle_is_connected, oracle_min_tension, oracle_tension,
                       random_graph_and_profiles)
 
-ALL_SOLVERS = [("tree", v) for v in TREE_VARIANTS] + [("peel", v) for v in PEEL_VARIANTS]
 
-
-def _solve(algorithm, variant, g, X, seeds, seed=0):
-    if algorithm == "tree":
-        return tree_community(g, X, seeds, variant=variant)
-    return peel_community(g, X, seeds, variant=variant, rng_seed=seed)
+def _solve(tag, g, X, seeds, seed=0):
+    return community_solver(*tag.split("-", 1), rng_seed=seed)(g, X, seeds)
 
 
 # -- proxy weights -------------------------------------------------------------
@@ -55,6 +51,55 @@ class TestProxyWeights:
         g = Graph(3, [(0, 1)])
         with pytest.raises(InputError):
             proxy_weights(g, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_profile_rejected(self, bad):
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(InputError, match="NaN or infinite"):
+            proxy_weights(g, np.array([[0.5], [bad]]))
+
+
+# -- the variant registry --------------------------------------------------------
+
+class TestVariantRegistry:
+    def test_tags_are_the_five_paper_variants(self):
+        assert VARIANT_TAGS == ("tree-hops", "tree-weights", "peel-random",
+                                "peel-sum", "peel-max")
+
+    @pytest.mark.parametrize("algorithm,variant", [("tree", "sum"), ("peel", "hops"),
+                                                   ("peel", "median"), ("magic", "hops")])
+    def test_unknown_pair_rejected_when_built(self, algorithm, variant):
+        with pytest.raises(InputError, match="unknown algorithm and variant"):
+            community_solver(algorithm, variant)
+
+    def test_handle_matches_direct_call(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+        X = np.array([[0.0], [0.3], [0.9], [0.2], [0.6]])
+        for tag in VARIANT_TAGS:
+            algorithm, variant = tag.split("-", 1)
+            if algorithm == "tree":
+                direct = tree_community(g, X, [0, 2], variant=variant)
+            else:
+                direct = peel_community(g, X, [0, 2], variant=variant, rng_seed=3)
+            via = community_solver(algorithm, variant, rng_seed=3)(g, X, [0, 2])
+            assert via == direct, tag
+
+
+# -- non-finite profiles on a 4-path, for every entry point that used to
+# -- misreport them
+
+class TestNonFiniteProfiles:
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    X = np.array([[0.1], [np.nan], [0.7], [0.4]])
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_every_variant_rejects_nan(self, tag):
+        with pytest.raises(InputError, match="NaN or infinite"):
+            _solve(tag, self.g, self.X, [0, 3])
+
+    def test_evaluate_solution_rejects_nan(self):
+        with pytest.raises(InputError, match="NaN or infinite"):
+            evaluate_solution(self.g, self.X, [0, 1, 2])
 
 
 # -- solution scoring ----------------------------------------------------------
@@ -217,8 +262,8 @@ class TestSolverProperties:
         q = sorted(rng.choice(g.node_count,
                               size=int(rng.integers(1, min(4, g.node_count) + 1)),
                               replace=False).tolist())
-        for algorithm, variant in ALL_SOLVERS:
-            sol = _solve(algorithm, variant, g, X, q, seed=seed)
+        for tag in VARIANT_TAGS:
+            sol = _solve(tag, g, X, q, seed=seed)
             assert set(q) <= sol.nodes
             assert oracle_is_connected(g.node_count, g.edges(), sol.nodes)
 
@@ -231,8 +276,8 @@ class TestSolverProperties:
                               size=int(rng.integers(1, 3)),
                               replace=False).tolist())
         opt = oracle_min_tension(g.node_count, g.edges(), X, q)
-        for algorithm, variant in ALL_SOLVERS:
-            sol = _solve(algorithm, variant, g, X, q, seed=seed)
+        for tag in VARIANT_TAGS:
+            sol = _solve(tag, g, X, q, seed=seed)
             assert sol.tension >= opt - 1e-9
             # and the reported tension matches the independent scorer
             recomputed = oracle_tension(g.node_count, g.edges(), X, sol.nodes)

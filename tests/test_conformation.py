@@ -127,6 +127,26 @@ class TestValidation:
         with pytest.raises(InputError):
             conform(g, np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_profiles_rejected_before_iterating(self, bad):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        X = np.array([[0.1], [bad], [0.7], [0.4]])
+        with pytest.raises(InputError, match="NaN or infinite"):
+            conform(g, X)
+        with pytest.raises(InputError, match="NaN or infinite"):
+            equilibrium_solve(g, X)
+
+    def test_non_finite_conformed_rejected(self):
+        g = Graph(2, [(0, 1)])
+        X = np.array([[0.0], [1.0]])
+        with pytest.raises(InputError, match="NaN or infinite"):
+            social_tension(g, X, np.array([[0.5], [np.nan]]))
+
+    def test_conformed_shape_must_match_latent(self):
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(InputError, match="does not match the latent"):
+            social_tension(g, np.zeros((2, 2)), np.zeros((2, 1)))
+
     def test_nonpositive_tol_rejected(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(InputError):

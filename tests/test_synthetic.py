@@ -5,10 +5,7 @@ import pytest
 
 from tensionkit import InputError
 from tensionkit.synthetic import (block_incidence, gnm_graph, gnp_graph,
-                                  planted_partition_graph,
-                                  random_connected_graph)
-
-from conftest import oracle_is_connected
+                                  planted_partition_graph)
 
 
 class TestGnp:
@@ -36,14 +33,6 @@ class TestGnm:
 
     def test_reproducible(self):
         assert gnm_graph(50, 100, rng_seed=9).edges() == gnm_graph(50, 100, rng_seed=9).edges()
-
-
-class TestRandomConnected:
-    def test_connected_for_various_sizes(self):
-        for n in (2, 5, 17, 60):
-            g = random_connected_graph(n, rng_seed=n)
-            assert g.edge_count >= n - 1
-            assert oracle_is_connected(n, g.edges(), range(n))
 
 
 class TestPlantedPartition:
