@@ -68,8 +68,8 @@ def conform(g: Graph, latent, tol: float = 1e-9,
     iteration budget runs out first.
     """
     X = profile_matrix(g, latent)
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise InputError("tol must be positive and finite")
     if max_iter is None:
         max_iter = default_max_iter(g.node_count)
     deg = g.degrees().astype(np.float64)

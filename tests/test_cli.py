@@ -333,6 +333,10 @@ class TestUsageErrors:
     def test_bad_comm_flag_exits_1(self, path5, extra):
         assert main(["comm", "--graph", path5, "--scheme", "uniform"] + extra) == 1
 
+    def test_nan_tolerance_exits_1(self, edge_pair):
+        g, x = edge_pair
+        assert main(["conform", "--graph", g, "--profiles", x, "--tol", "nan"]) == 1
+
     def test_flag_of_another_subcommand_exits_1(self, edge_pair):
         g, x = edge_pair
         assert main(["conform", "--graph", g, "--profiles", x, "--k", "3"]) == 1

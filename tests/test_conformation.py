@@ -147,6 +147,12 @@ class TestValidation:
         with pytest.raises(InputError, match="does not match the latent"):
             social_tension(g, np.zeros((2, 2)), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(InputError, match="tol must be positive and finite"):
+            conform(g, np.zeros((2, 1)), tol=tol)
+
     def test_nonpositive_tol_rejected(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(InputError):
