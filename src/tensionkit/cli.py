@@ -169,8 +169,14 @@ def _ok_cells(met, sol, t0: float, timing: bool) -> list[str]:
             str(len(sol.nodes)), str(sol.edges_induced), seconds, "ok"]
 
 
-def _failed_cells(status: str) -> list[str]:
-    return [""] * 7 + [status]
+# errors that fail one row of a batch and let the others run
+_ROW_ERRORS = (InfeasibleError, InputError, ConvergenceError)
+
+
+def _failed_cells(status: str | Exception) -> list[str]:
+    if isinstance(status, ConvergenceError):
+        status = f"non-convergence: {status}"
+    return [""] * 7 + [str(status)]
 
 
 # -- subcommands: the CSV-writing ones return (columns, rows) -----------------
@@ -225,8 +231,8 @@ def run_comm(args) -> tuple[tuple[str, ...], list[list[str]]]:
                         rng_seed=derive_seed(args.seed, f"peel-random:{run_id}"))
                     sol = solver(g, X, mapped, weights)
                     met = standardized_metrics(g, weights, sol, mapped)
-                except (InfeasibleError, InputError) as e:
-                    rows.append(base + _failed_cells(str(e)))
+                except _ROW_ERRORS as e:
+                    rows.append(base + _failed_cells(e))
                     continue
                 rows.append(base + _ok_cells(met, sol, t0, args.timing))
     return METRIC_COLUMNS, rows
@@ -277,8 +283,8 @@ def run_team(args) -> tuple[tuple[str, ...], list[list[str]]]:
                                  weights=weights, weight_norm=args.weight_norm)
                 met = standardized_metrics(g, weights, team.solution,
                                            sorted(team.step1_individuals))
-            except (InfeasibleError, InputError) as e:
-                rows.append(base + _failed_cells(str(e)) + [""])
+            except _ROW_ERRORS as e:
+                rows.append(base + _failed_cells(e) + [""])
                 continue
             rows.append(base + _ok_cells(met, team.solution, t0, args.timing)
                         + ["1" if team.step2_noop else "0"])
@@ -304,6 +310,8 @@ def run_cardinality(args) -> tuple[tuple[str, ...], list[list[str]]]:
 def run_bench(args) -> tuple[tuple[str, ...], list[list[str]]]:
     if not args.graph:
         raise InputError("bench mode needs at least one graph file (--graph)")
+    if args.repeats < 1:
+        raise InputError(f"--repeats must be at least 1, not {args.repeats}")
     rows: list[list[str]] = []
     for path in args.graph:
         name = Path(path).name

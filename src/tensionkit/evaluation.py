@@ -57,16 +57,11 @@ def mean_squared_weight(g: Graph, weights: EdgeWeights,
     """Average squared edge weight, over the whole graph or over the edges
     induced by ``nodes``.  Raises :class:`InputError` when no edges apply."""
     vals = weights.values
-    if nodes is None:
-        if not len(vals):
-            raise InputError("no edges to average over")
-        return float(np.mean(vals ** 2))
-    keep = set(nodes)
-    sq = [w * w for (u, v), w in zip(g.edges(), vals)
-          if u in keep and v in keep]
-    if not sq:
+    if nodes is not None:
+        vals = vals[g.edges_within(nodes)]
+    if not len(vals):
         raise InputError("no edges to average over")
-    return float(np.mean(sq))
+    return float(np.mean(vals ** 2))
 
 
 def seed_tree_edge_count(g: Graph, seeds) -> int:

@@ -8,11 +8,20 @@ Shortest paths are resolved by the composite key ``(total weight, hop count,
 node sequence)``: among minimum-weight paths the fewest-hop ones win, and
 among those the lexicographically smallest node sequence wins.  The hop
 component is what keeps reconstruction well-defined on zero-weight plateaus.
+
+Distances come from ``scipy.sparse.csgraph``: hops from one unweighted
+``shortest_path`` call; weights from ``dijkstra``, then hops from an
+unweighted search over the *tight* edges ``u -> v`` with ``dist_w[u] + w_uv
+== dist_w[v]``.  The equality is exact: a float Dijkstra sets ``dist_w[v]``
+to the smallest rounded sum ``dist_w[u] + w_uv``, so exactly the edges that
+realise it are tight, zero-weight plateaus and absorbed weights (``d + w ==
+d``) included.  A tolerance would admit near-ties that no minimum-weight path
+uses and change hop counts.  Zero weights are edges, kept as explicit CSR
+entries.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from typing import Iterable, Mapping, Sequence
@@ -82,24 +91,36 @@ class Graph:
                 self._edge_array = np.empty((0, 2), dtype=np.int64)
         return self._edge_array
 
+    def edges_within(self, nodes: Iterable[int]) -> np.ndarray:
+        """Boolean mask over :meth:`edge_array`: both ends in ``nodes``."""
+        keep = np.zeros(self.node_count, dtype=bool)
+        keep[np.fromiter(nodes, dtype=np.int64)] = True
+        ea = self.edge_array()
+        return keep[ea[:, 0]] & keep[ea[:, 1]]
+
     def adjacency_csr(self) -> sp.csr_matrix:
         if self._csr is None:
-            ea = self.edge_array()
-            n = self.node_count
-            rows = np.concatenate([ea[:, 0], ea[:, 1]])
-            cols = np.concatenate([ea[:, 1], ea[:, 0]])
-            data = np.ones(2 * len(ea), dtype=np.float64)
-            self._csr = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+            self._csr = _symmetric_csr(self, np.ones(self.edge_count))
         return self._csr
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
+def _symmetric_csr(g: Graph, values: np.ndarray) -> sp.csr_matrix:
+    """Symmetric CSR with ``values[k]`` at both entries of edge ``k``;
+    columns ascend in each row, and zeros stay explicit entries (edges)."""
+    ea = g.edge_array()
+    rows = np.concatenate([ea[:, 0], ea[:, 1]])
+    cols = np.concatenate([ea[:, 1], ea[:, 0]])
+    n = g.node_count
+    return sp.csr_matrix((np.concatenate([values, values]), (rows, cols)), shape=(n, n))
+
+
 class EdgeWeights:
     """Nonnegative real weights keyed on the unordered edges of one graph."""
 
-    __slots__ = ("graph", "values", "_index", "_wadj")
+    __slots__ = ("graph", "values", "_index", "_wadj", "_csr")
 
     def __init__(self, graph: Graph, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
@@ -113,6 +134,7 @@ class EdgeWeights:
         self.values = values
         self._index = None
         self._wadj = None
+        self._csr = None
 
     def _edge_index(self) -> dict[tuple[int, int], int]:
         if self._index is None:
@@ -134,9 +156,6 @@ class EdgeWeights:
         key = (u, v) if u < v else (v, u)
         return self.values[self._edge_index()[key]]
 
-    def __getitem__(self, pair: tuple[int, int]) -> float:
-        return self.get(*pair)
-
     def weighted_adjacency(self) -> list[list[tuple[int, float]]]:
         """Per-node list of (neighbor, weight), neighbors ascending."""
         if self._wadj is None:
@@ -148,6 +167,12 @@ class EdgeWeights:
                 lst.sort()
             self._wadj = wadj
         return self._wadj
+
+    def weighted_csr(self) -> sp.csr_matrix:
+        """Symmetric weighted adjacency; zero weights stay explicit entries."""
+        if self._csr is None:
+            self._csr = _symmetric_csr(self.graph, self.values)
+        return self._csr
 
     def with_zeroed(self, pairs: Iterable[tuple[int, int]]) -> "EdgeWeights":
         """Copy with the given edges' weights set to zero."""
@@ -198,10 +223,10 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
         raise InputError("empty node set")
     if olds[0] < 0 or olds[-1] >= g.node_count:
         raise InputError("node set contains ids outside the graph")
-    keep = set(olds)
-    remap = {old: new for new, old in enumerate(olds)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges() if u in keep and v in keep]
-    return Graph(len(olds), edges), olds
+    remap = np.full(g.node_count, -1, dtype=np.int64)
+    remap[olds] = np.arange(len(olds))
+    inside = remap[g.edge_array()[g.edges_within(olds)]]
+    return Graph(len(olds), zip(inside[:, 0].tolist(), inside[:, 1].tolist())), olds
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -234,31 +259,25 @@ def largest_component(g: Graph) -> list[int]:
 
 # -- distances and shortest paths ------------------------------------------
 
-def bfs_distances(g: Graph, src: int, alive: Sequence[bool] | None = None) -> np.ndarray:
-    """Hop distances from ``src`` (-1 where unreachable), optionally
-    restricted to nodes flagged in ``alive``."""
-    dist = np.full(g.node_count, -1, dtype=np.int64)
-    if alive is not None and not alive[src]:
-        raise InputError(f"seed outside candidate set: {src}")
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for v in g.neighbors(u):
-            if dist[v] < 0 and (alive is None or alive[v]):
-                dist[v] = d
-                queue.append(v)
-    return dist
+def _hop_rows(adj: sp.csr_matrix, sources) -> np.ndarray:
+    """Unweighted distances over ``adj`` from ``sources`` (inf: unreachable)."""
+    return csgraph.shortest_path(adj, method="D", unweighted=True, indices=sources)
+
+
+def _as_hops(dist: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
+
+
+def bfs_distances(g: Graph, src: int) -> np.ndarray:
+    """Hop distances from ``src`` (-1 where unreachable)."""
+    return _as_hops(_hop_rows(g.adjacency_csr(), src))
 
 
 def hop_distance_matrix(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """Hop distances from each source to every node (inf where unreachable)."""
     if not len(sources):
         return np.empty((0, g.node_count))
-    mat = csgraph.shortest_path(g.adjacency_csr(), method="D", unweighted=True,
-                                indices=np.asarray(sources, dtype=np.int64))
-    return np.atleast_2d(mat)
+    return np.atleast_2d(_hop_rows(g.adjacency_csr(), np.asarray(sources, dtype=np.int64)))
 
 
 def path_distances(g: Graph, src: int,
@@ -268,33 +287,18 @@ def path_distances(g: Graph, src: int,
     Returns ``(dist_w, dist_h)``; unreachable nodes carry ``(inf, -1)``.
     With ``weights=None`` every edge counts 1 and the two arrays agree.
     """
-    n = g.node_count
     if weights is None:
-        dh = bfs_distances(g, src)
-        dw = dh.astype(np.float64)
-        dw[dh < 0] = math.inf
-        return dw, dh
-    dw = np.full(n, math.inf)
-    dh = np.full(n, -1, dtype=np.int64)
-    dw[src] = 0.0
-    dh[src] = 0
-    wadj = weights.weighted_adjacency()
-    done = [False] * n
-    heap: list[tuple[float, int, int]] = [(0.0, 0, src)]
-    while heap:
-        w, h, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, wt in wadj[u]:
-            if done[v]:
-                continue
-            cw, ch = w + wt, h + 1
-            if cw < dw[v] or (cw == dw[v] and (dh[v] < 0 or ch < dh[v])):
-                dw[v] = cw
-                dh[v] = ch
-                heapq.heappush(heap, (cw, ch, v))
-    return dw, dh
+        dw = _hop_rows(g.adjacency_csr(), src)
+        return dw, _as_hops(dw)
+    W = weights.weighted_csr()
+    dw = csgraph.dijkstra(W, indices=src)
+    # hop counts: fewest tight edges from src (see the module design notes)
+    tails = np.repeat(np.arange(g.node_count), np.diff(W.indptr))
+    tight = dw[tails] + W.data == dw[W.indices]
+    kept = np.concatenate(([0], np.cumsum(tight)))
+    T = sp.csr_matrix((np.ones(kept[-1]), W.indices[tight], kept[W.indptr]),
+                      shape=W.shape)
+    return dw, _as_hops(_hop_rows(T, src))
 
 
 def _reconstruct_path(g: Graph, src: int, dst: int,
@@ -307,29 +311,21 @@ def _reconstruct_path(g: Graph, src: int, dst: int,
     if not math.isfinite(total_w):
         raise InfeasibleError(f"disconnected pair: no path from {src} to {dst}")
     tol = _REL_TOL * max(1.0, abs(total_w))
-    wadj = weights.weighted_adjacency() if weights is not None else None
+    adj = g.adjacency_csr() if weights is None else weights.weighted_csr()
     path = [src]
     cw, ch, u = 0.0, 0, src
     while u != dst:
-        nxt = -1
-        nxt_wt = 0.0
-        if wadj is None:
-            for v in g.neighbors(u):
-                if dist_h_from_dst[v] == total_h - ch - 1:
-                    nxt, nxt_wt = v, 1.0
-                    break
-        else:
-            for v, wt in wadj[u]:
-                if dist_h_from_dst[v] != total_h - ch - 1:
-                    continue
-                if abs(cw + wt + dist_w_from_dst[v] - total_w) <= tol:
-                    nxt, nxt_wt = v, wt
-                    break
-        if nxt < 0:  # cannot happen on consistent distance arrays
+        lo, hi = adj.indptr[u], adj.indptr[u + 1]
+        nbrs, wts = adj.indices[lo:hi], adj.data[lo:hi]
+        step = dist_h_from_dst[nbrs] == total_h - ch - 1
+        if weights is not None:
+            step &= np.abs(cw + wts + dist_w_from_dst[nbrs] - total_w) <= tol
+        hits = np.flatnonzero(step)  # neighbours ascend, so the first is smallest
+        if not len(hits):  # cannot happen on consistent distance arrays
             raise RuntimeError("shortest-path reconstruction lost the trail")
-        cw += nxt_wt
+        cw += wts[hits[0]]
         ch += 1
-        u = nxt
+        u = int(nbrs[hits[0]])
         path.append(u)
     return path
 

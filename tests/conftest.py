@@ -2,12 +2,15 @@
 
 The oracles here deliberately avoid the package's own graph and solver
 machinery: connectivity is re-derived from raw edge lists, equilibria from a
-dense linear solve, so the tests cross-check two independent routes.
+dense linear solve, shortest-path distances from a pure-Python heap Dijkstra
+and BFS, so the tests cross-check two independent routes.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -104,6 +107,48 @@ def oracle_steiner_edges(n: int, edges, q) -> int:
     if best is None:
         raise AssertionError("seeds not connectable")
     return best - 1
+
+
+def reference_path_distances(n: int, edges, src: int, weights=None):
+    """``(dist_w, dist_h)`` from ``src`` under the composite key (weight,
+    hops): a heap Dijkstra on ``(weight, hops, node)`` over the raw edge list
+    with per-edge ``weights`` (unit lengths and a plain BFS when None).
+    Unreachable nodes carry ``(inf, -1)``."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(edges):
+        wt = 1.0 if weights is None else weights[k]
+        adj[u].append((v, wt))
+        adj[v].append((u, wt))
+    dw = np.full(n, math.inf)
+    dh = np.full(n, -1, dtype=np.int64)
+    dw[src] = 0.0
+    dh[src] = 0
+    if weights is None:
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v, _ in adj[u]:
+                if dh[v] < 0:
+                    dh[v] = dh[u] + 1
+                    dw[v] = float(dh[v])
+                    queue.append(v)
+        return dw, dh
+    done = [False] * n
+    heap: list[tuple[float, int, int]] = [(0.0, 0, src)]
+    while heap:
+        w, h, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, wt in adj[u]:
+            if done[v]:
+                continue
+            cw, ch = w + wt, h + 1
+            if cw < dw[v] or (cw == dw[v] and (dh[v] < 0 or ch < dh[v])):
+                dw[v] = cw
+                dh[v] = ch
+                heapq.heappush(heap, (cw, ch, v))
+    return dw, dh
 
 
 class OracleUnionFind:

@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tensionkit import community
 from tensionkit.cli import BENCH_COLUMNS, METRIC_COLUMNS, TEAM_COLUMNS, main
+from tensionkit.errors import ConvergenceError
 from tensionkit.fileio import read_profiles, read_seed_sets
 
 REPO = Path(__file__).resolve().parents[1]
@@ -135,6 +137,31 @@ class TestComm:
         groups = {line.split(",")[3] for line in lines[1:]}
         assert groups <= {"D1", "D2", "D3"} and len(lines) >= 4
 
+    def test_non_convergence_fails_only_its_row(self, tmp_path, path5, monkeypatch):
+        # every community containing node 0 (profile 0.0, the lowest id, so
+        # the first row of the scored latent block) fails to converge
+        real_conform = community.conform
+
+        def conform(g, latent, **kw):
+            if latent[0, 0] == 0.0:
+                raise ConvergenceError("stuck", profiles=latent, residual=1.0,
+                                       iterations=7)
+            return real_conform(g, latent, **kw)
+
+        monkeypatch.setattr(community, "conform", conform)
+        x = write(tmp_path / "x.profiles", "0.0\n0.2\n0.4\n0.6\n0.8\n")
+        seeds = write(tmp_path / "q.seeds", "0 1\n3 4\n")
+        out = tmp_path / "comm.csv"
+        assert main(["comm", "--graph", path5, "--profiles", x,
+                     "--seeds", seeds, "--out", str(out)]) == 0
+        rows = read_rows(out)[1:]
+        assert len(rows) == 10
+        for r in rows:
+            if r[0] == "file-000":
+                assert r[-1] == "non-convergence: stuck" and r[4] == ""
+            else:
+                assert r[-1] == "ok"
+
     def test_profiles_and_scheme_together_exit_1(self, tmp_path, path5):
         x = write(tmp_path / "x.profiles", "0.1\n0.2\n0.3\n0.4\n0.5\n")
         assert main(["comm", "--graph", path5, "--profiles", x,
@@ -189,6 +216,20 @@ class TestTeam:
         assert [r[0] for r in rows] == ["P000", "P001", "P002", "P003"]
         assert all(r[11] == "ok" for r in rows)
 
+    def test_non_convergence_becomes_failed_row(self, tmp_path, path5, monkeypatch):
+        def conform(g, latent, **kw):
+            raise ConvergenceError("stuck", profiles=latent, residual=1.0, iterations=7)
+
+        monkeypatch.setattr(community, "conform", conform)
+        skills = write(tmp_path / "s.skills", "0 a 4\n4 b 4\n")
+        proj = write(tmp_path / "p.project", "a b\n")
+        out = tmp_path / "team.csv"
+        assert main(["team", "--graph", path5, "--scheme", "uniform",
+                     "--skills", skills, "--project", proj,
+                     "--variant", "tree-hops", "--out", str(out)]) == 0
+        r = read_rows(out)[1]
+        assert r[11] == "non-convergence: stuck" and r[4] == "" and r[12] == ""
+
     def test_too_few_skills_to_sample_exits_2(self, tmp_path, path5):
         skills = write(tmp_path / "s.skills", "0 a 4\n1 b 4\n")
         assert main(["team", "--graph", path5, "--scheme", "uniform",
@@ -237,6 +278,13 @@ class TestBench:
 
     def test_bench_needs_a_graph(self):
         assert main(["bench", "--scheme", "uniform"]) == 1
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_non_positive_repeats_exit_1(self, path5, repeats, caplog):
+        assert main(["bench", "--graph", path5, "--scheme", "uniform",
+                     "--seed-size", "2", "--n-candidates", "20",
+                     "--repeats", repeats]) == 1
+        assert "--repeats must be at least 1" in caplog.text
 
 
 class TestGenProfilesAndSampleSeeds:

@@ -13,7 +13,8 @@ from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
                         shortest_path)
 from tensionkit.graph import DisjointSet, bfs_distances, path_distances
 
-from conftest import OracleUnionFind, oracle_is_connected
+from conftest import (OracleUnionFind, oracle_is_connected,
+                      reference_path_distances)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -217,6 +218,72 @@ class TestShortestPaths:
                  for p in _all_simple_paths(g, 0, dst)),
                 default=np.inf)
             assert length == pytest.approx(best, rel=1e-9)
+
+
+# edge-weight draws for the reference comparison: uniform floats, multiples
+# of 0.1 including 0 (ties, zero plateaus, and near-ties such as
+# 0.1 + 0.2 != 0.3), 0/1, and 1e17 next to 1.0, where 1e17 + 1.0 == 1e17
+# absorbs the smaller weight
+_WEIGHT_DRAWS = {
+    "uniform": st.floats(0.0, 1.0),
+    "tenths": st.integers(0, 5).map(lambda k: k / 10),
+    "binary": st.sampled_from([0.0, 1.0]),
+    "absorbing": st.sampled_from([0.0, 1.0, 1e17]),
+}
+
+
+@st.composite
+def weighted_graphs(draw, kind):
+    g = draw(graphs(max_nodes=25))
+    values = draw(st.lists(_WEIGHT_DRAWS[kind], min_size=g.edge_count,
+                           max_size=g.edge_count))
+    return g, EdgeWeights(g, np.array(values, dtype=np.float64))
+
+
+class TestDistancesMatchReference:
+    """csgraph distances equal the composite-key reference bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(_WEIGHT_DRAWS))
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_weighted_every_source(self, kind, data):
+        g, w = data.draw(weighted_graphs(kind))
+        for src in range(g.node_count):
+            ref_w, ref_h = reference_path_distances(g.node_count, g.edges(), src, w.values)
+            dist_w, dist_h = path_distances(g, src, w)
+            assert np.array_equal(dist_w, ref_w) and np.array_equal(dist_h, ref_h)
+
+    @given(graphs(max_nodes=25))
+    @settings(max_examples=40)
+    def test_hops_every_source(self, g):
+        for src in range(g.node_count):
+            ref_w, ref_h = reference_path_distances(g.node_count, g.edges(), src)
+            dist_w, dist_h = path_distances(g, src)
+            assert np.array_equal(dist_w, ref_w) and np.array_equal(dist_h, ref_h)
+            assert np.array_equal(bfs_distances(g, src), ref_h)
+
+    def test_zero_plateau_path_decided_by_hops(self):
+        # 0-1-2-3 and 0-4-3 both weigh 0; lexicographic order alone would
+        # pick [0, 1, 2, 3], the hop count picks [0, 4, 3].  The 0-5-3 detour
+        # weighs 2, so a CSR that dropped its zero entries would pick it.
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 4), (0, 5), (3, 5)])
+        w = EdgeWeights.from_mapping(g, {(0, 1): 0.0, (1, 2): 0.0, (2, 3): 0.0,
+                                         (0, 4): 0.0, (3, 4): 0.0,
+                                         (0, 5): 1.0, (3, 5): 1.0})
+        dist_w, dist_h = path_distances(g, 3, w)
+        assert dist_w.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        assert dist_h.tolist() == [2, 2, 1, 0, 1, 1]
+        assert shortest_path(g, 0, 3, weights=w) == ([0, 4, 3], 0.0)
+
+    def test_near_tie_is_not_tight(self):
+        # 0-3-4-1 sums to 0.3 in three hops; 0-2-1 sums to 0.1 + 0.2, one
+        # ulp above 0.3, in two.  Only exact equality keeps the three hops.
+        g = Graph(5, [(0, 2), (1, 2), (0, 3), (3, 4), (1, 4)])
+        w = EdgeWeights.from_mapping(g, {(0, 2): 0.1, (1, 2): 0.2, (0, 3): 0.3,
+                                         (3, 4): 0.0, (1, 4): 0.0})
+        dist_w, dist_h = path_distances(g, 0, w)
+        assert dist_w[1] == 0.3 and dist_h[1] == 3
+        assert shortest_path(g, 1, 0, weights=w) == ([1, 4, 3, 0], 0.3)
 
 
 def _all_simple_paths(g, src, dst):
