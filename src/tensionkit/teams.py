@@ -121,8 +121,9 @@ def form_team(g: Graph, latent, skills: SkillMap, required: Iterable[str],
 
     # step 1: community of skill nodes in the extended graph
     ext, ids, ext_latent = skill_extended_graph(g, skills, latent)
+    ea = ext.edge_array()
     ext_weights = proxy_weights(ext, ext_latent, weight_norm).with_zeroed(
-        (u, v) for u, v in ext.edges() if v >= g.node_count)
+        ea[ea[:, 1] >= g.node_count])
     seed_nodes = [ids[label] for label in labels]
     step1 = solver(ext, ext_latent, seed_nodes, ext_weights)
     individuals = {v for v in step1.nodes if v < g.node_count}

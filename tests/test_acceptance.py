@@ -149,6 +149,7 @@ def test_06_seed_connector_is_steiner_two_approximation():
             f"connector {len(edges)} edges vs minimum {minimum}"
 
 
+@pytest.mark.slow
 def test_07_planted_communities_show_aware_vs_oblivious_tradeoff():
     """On a 2000-node planted-community graph with spectrally structured
     profiles, weight-aware variants reach strictly lower mean normalized
@@ -204,6 +205,7 @@ def test_07_planted_communities_show_aware_vs_oblivious_tradeoff():
         assert mean_mpe[("peel-random", lab)] <= mean_mpe[("peel-max", lab)]
 
 
+@pytest.mark.slow
 def test_08_runtime_ordering_across_sizes():
     """Mean runtimes order tree-hops < tree-weights < peel-random <
     peel-max <= peel-sum at every size, and both tree variants beat

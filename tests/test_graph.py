@@ -11,7 +11,8 @@ from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
                         connected_components, induced_subgraph,
                         largest_component, minimum_spanning_tree,
                         shortest_path)
-from tensionkit.graph import DisjointSet, bfs_distances, path_distances
+from tensionkit.graph import (DisjointSet, bfs_distances, hop_distance_matrix,
+                              path_distances)
 
 from conftest import (OracleUnionFind, oracle_is_connected,
                       reference_path_distances)
@@ -93,6 +94,8 @@ class TestEdgeWeights:
         g = Graph(3, [(0, 1), (1, 2)])
         w = EdgeWeights(g, np.array([0.25, 0.75]))
         assert w.get(1, 0) == 0.25 and w.get(1, 2) == 0.75
+        with pytest.raises(InputError, match=r"no weight for non-edge \(0, 2\)"):
+            w.get(2, 0)
 
     def test_weighted_adjacency_symmetric(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -107,6 +110,23 @@ class TestEdgeWeights:
         z = w.with_zeroed([(2, 1)])
         assert z.get(1, 2) == 0.0 and z.get(0, 1) == 0.25
         assert w.get(1, 2) == 0.75  # original untouched
+
+    def test_with_zeroed_non_edge_rejected(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        w = EdgeWeights(g, np.array([0.25, 0.75]))
+        with pytest.raises(InputError, match=r"cannot zero non-edge \(0, 2\)"):
+            w.with_zeroed([(1, 2), (2, 0)])
+        # key 0 * 3 + 5 is the key of edge (1, 2): the range check rejects it
+        with pytest.raises(InputError, match="non-edge"):
+            w.with_zeroed([(0, 5)])
+        assert w.with_zeroed([]).values.tolist() == [0.25, 0.75]
+
+    def test_from_mapping_non_edge_rejected(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InputError, match=r"weight given for non-edge \(0, 2\)"):
+            EdgeWeights.from_mapping(g, {(1, 0): 0.5, (2, 0): 1.0})
+        w = EdgeWeights.from_mapping(g, {(2, 1): 0.5})
+        assert w.values.tolist() == [0.0, 0.5]
 
 
 # -- induced subgraphs --------------------------------------------------------
@@ -240,8 +260,20 @@ def weighted_graphs(draw, kind):
     return g, EdgeWeights(g, np.array(values, dtype=np.float64))
 
 
+def _path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _broom(handle, bristles):
+    """Path 0..handle-1 with ``bristles`` leaves hung on its last node."""
+    last = handle - 1
+    return Graph(handle + bristles, [(i, i + 1) for i in range(last)]
+                 + [(last, handle + j) for j in range(bristles)])
+
+
 class TestDistancesMatchReference:
-    """csgraph distances equal the composite-key reference bit for bit."""
+    """csgraph distances equal the composite-key reference bit for bit,
+    on deep, disconnected and multi-source inputs too."""
 
     @pytest.mark.parametrize("kind", sorted(_WEIGHT_DRAWS))
     @given(data=st.data())
@@ -284,6 +316,60 @@ class TestDistancesMatchReference:
         dist_w, dist_h = path_distances(g, 0, w)
         assert dist_w[1] == 0.3 and dist_h[1] == 3
         assert shortest_path(g, 1, 0, weights=w) == ([1, 4, 3, 0], 0.3)
+
+    @pytest.mark.parametrize("g", [_path_graph(3000), _broom(3000, 500)],
+                             ids=["path", "broom"])
+    def test_deep_graphs_from_ends_and_middle(self, g):
+        n = g.node_count
+        w = EdgeWeights(g, np.random.default_rng(11).random(g.edge_count))
+        for src in (0, n // 2, 2999, n - 1):
+            _assert_matches_reference(g, src)
+            _assert_matches_reference(g, src, w)
+
+    def test_disconnected_and_isolated_sources(self):
+        g = Graph(7, [(0, 1), (1, 2), (3, 4)])  # 5 and 6 are isolated
+        w = EdgeWeights(g, np.array([0.5, 0.0, 2.0]))
+        for src in range(7):
+            _assert_matches_reference(g, src)
+            _assert_matches_reference(g, src, w)
+        dist_w, dist_h = path_distances(g, 5)
+        assert dist_w.tolist() == [np.inf] * 5 + [0.0, np.inf]
+        assert dist_h.tolist() == [-1] * 5 + [0, -1]
+
+    def test_hop_distance_matrix_rows(self):
+        broom = _broom(40, 5)
+        for g in (broom, Graph(47, broom.edges())):  # the second has 2 isolated nodes
+            sources = [0, 44, 20, 0, g.node_count - 1, 20]  # duplicates
+            mat = hop_distance_matrix(g, sources)
+            assert mat.shape == (len(sources), g.node_count)
+            for row, src in zip(mat, sources):
+                assert np.array_equal(row, reference_path_distances(
+                    g.node_count, g.edges(), src)[0])
+            empty = hop_distance_matrix(g, [])
+            assert empty.shape == (0, g.node_count) and empty.dtype == np.float64
+
+    def test_long_zero_chain_makes_deep_tight_graph(self):
+        # a 600-node zero-weight path with zero chords 0-300 and 150-450
+        # (zero plateaus with cycles, so the tight graph is deep and cyclic),
+        # a weight-1 edge 0-599 that no shortest path from 0 uses, and a
+        # pendant node 600 behind weight 0.5
+        n = 600
+        zeros = [(i, i + 1) for i in range(n - 1)] + [(0, 300), (150, 450)]
+        w = {e: 0.0 for e in zeros} | {(0, n - 1): 1.0, (n - 1, n): 0.5}
+        g = Graph(n + 1, w)
+        w = EdgeWeights.from_mapping(g, w)
+        for src in (0, 75, 300, n - 1, n):
+            _assert_matches_reference(g, src, w)
+        assert path_distances(g, 0, w)[1].max() > 100
+
+
+def _assert_matches_reference(g, src, weights=None):
+    ref_w, ref_h = reference_path_distances(
+        g.node_count, g.edges(), src, None if weights is None else weights.values)
+    dist_w, dist_h = path_distances(g, src, weights)
+    assert np.array_equal(dist_w, ref_w) and np.array_equal(dist_h, ref_h)
+    if weights is None:
+        assert np.array_equal(bfs_distances(g, src), ref_h)
 
 
 def _all_simple_paths(g, src, dst):
