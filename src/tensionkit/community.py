@@ -12,8 +12,8 @@ Two strategies over an attributed graph:
   static random draws (``"random"``), the sum of the node's surviving
   incident weights (``"sum"``), or their maximum (``"max"``).
 
-Returned node sets are scored by exact conformation on the induced
-subgraph, induced non-tree edges included.
+Returned node sets are scored by the tension at the exact equilibrium of
+the induced subgraph, induced non-tree edges included.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .conformation import conform, profile_matrix, social_tension
+from .conformation import equilibrium_tensions, profile_matrix
 from .errors import InfeasibleError, InputError
-from .graph import (EdgeWeights, Graph, connected_components, induced_subgraph,
-                    minimum_spanning_tree, path_distances, _reconstruct_path)
+from .graph import (EdgeWeights, Graph, minimum_spanning_tree, path_distances,
+                    _reconstruct_path)
 
 TREE_VARIANTS = ("hops", "weights")
 PEEL_VARIANTS = ("random", "sum", "max")
@@ -80,18 +80,14 @@ def _check_seeds(g: Graph, seeds) -> list[int]:
 
 def evaluate_solution(g: Graph, latent, nodes, algorithm_tag: str = "custom",
                       tol: float = 1e-9) -> Solution:
-    """Score a node set: conform the induced subgraph and total its tension.
-
-    The node set must induce a connected subgraph.
-    """
-    X = profile_matrix(g, latent)
-    sub, olds = induced_subgraph(g, nodes)
-    if len(connected_components(sub)) > 1:
-        raise InfeasibleError("disconnected node set cannot be scored as a community")
-    sub_latent = X[olds]
-    res = conform(sub, sub_latent, tol=tol)
-    tension = social_tension(sub, sub_latent, res.conformed)
-    return Solution(frozenset(olds), sub.edge_count, tension, algorithm_tag)
+    """Score a connected node set by the tension of its induced subgraph at
+    equilibrium: :func:`equilibrium_tensions` on a batch of one (exact up to
+    ``DENSE_LIMIT`` nodes, within ``tol`` in max-norm above)."""
+    olds = sorted(set(nodes))
+    if not olds:
+        raise InputError("empty node set")
+    tension, edges = equilibrium_tensions(g, latent, [olds], tol=tol)
+    return Solution(frozenset(olds), int(edges[0]), float(tension[0]), algorithm_tag)
 
 
 Solver = Callable[[Graph, np.ndarray, list[int], EdgeWeights | None], Solution]

@@ -176,17 +176,25 @@ class EdgeWeights:
         return EdgeWeights(self.graph, values)
 
 
-def _edge_positions(g: Graph, pairs, what: str) -> np.ndarray:
-    """Positions in ``g.edges()`` of the unordered ``pairs``.  The edges are
-    sorted, so their keys ``u * n + v`` ascend and a binary search finds
-    each; a pair that is no edge raises :class:`InputError`."""
+def _find_edges(g: Graph, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``g.edges()`` of the pairs ``u < v`` (arrays of any one
+    shape), and whether each pair is an edge.  The edges are sorted, so
+    their keys ``u * n + v`` ascend and a binary search finds each."""
     n = g.node_count
+    ea = g.edge_array()
+    keys, want = ea[:, 0] * n + ea[:, 1], u * n + v
+    at = np.searchsorted(keys, want)
+    found = (u >= 0) & (v < n) & (at < len(keys))
+    found[found] = keys[at[found]] == want[found]
+    return at, found
+
+
+def _edge_positions(g: Graph, pairs, what: str) -> np.ndarray:
+    """Positions in ``g.edges()`` of the unordered ``pairs``; a pair that is
+    no edge raises :class:`InputError`."""
     uv = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
     uv = np.sort(uv.reshape(-1, 2), axis=1)
-    keys, want = g.edge_array() @ [n, 1], uv @ [n, 1]
-    at = np.searchsorted(keys, want)
-    found = (uv[:, 0] >= 0) & (uv[:, 1] < n) & (at < len(keys))
-    found[found] = keys[at[found]] == want[found]
+    at, found = _find_edges(g, uv[:, 0], uv[:, 1])
     if not found.all():
         raise InputError(f"{what} non-edge {tuple(uv[np.argmin(found)].tolist())}")
     return at

@@ -10,7 +10,7 @@ individuals as seeds, which yields the final team.
 
 ``greedy_fixed_size`` grows connected sets of an exact target size from
 many starts, steering by proxy-weight increments and scoring the finished
-sets by exact conformation.
+sets together at the exact equilibrium.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from typing import Iterable
 import numpy as np
 
 # ``community_solver`` is re-exported: callers also look it up here
-from .community import (Solution, Solver, community_solver, evaluate_solution,
-                        proxy_weights)
-from .conformation import profile_matrix
+from .community import Solution, Solver, community_solver, proxy_weights
+from .conformation import equilibrium_tensions, profile_matrix
 from .errors import InfeasibleError, InputError
 from .graph import EdgeWeights, Graph, largest_component
 
@@ -153,8 +152,9 @@ def greedy_fixed_size(g: Graph, latent, k: int,
     From every candidate start (all nodes when the graph has at most
     ``all_starts_limit``, otherwise a seeded sample), repeatedly add the
     frontier node with the smallest proxy-weight increment (ties: lowest
-    id); finished sets are re-scored by exact conformation and the best one
-    wins (ties: lexicographically smallest node tuple).
+    id); the finished sets are scored together by
+    :func:`equilibrium_tensions` and the lowest tension wins (ties:
+    lexicographically smallest node tuple).
     """
     if k < 1:
         raise InputError("team size k must be at least 1")
@@ -192,13 +192,11 @@ def greedy_fixed_size(g: Graph, latent, k: int,
         if len(members) == k:
             grown.add(frozenset(members))
 
-    best: Solution | None = None
-    best_key = None
-    for nodes in grown:
-        sol = evaluate_solution(g, latent, nodes, algorithm_tag="greedy")
-        key = (sol.tension, tuple(sorted(nodes)))
-        if best_key is None or key < best_key:
-            best, best_key = sol, key
-    if best is None:
+    if not grown:
         raise InfeasibleError("no start grew to the requested size")
-    return best
+    # ascending node tuples, so argmin breaks tension ties by the smallest
+    sets = np.array(sorted(tuple(sorted(nodes)) for nodes in grown))
+    tension, edges = equilibrium_tensions(g, latent, sets)
+    best = int(np.argmin(tension))
+    return Solution(frozenset(sets[best].tolist()), int(edges[best]),
+                    float(tension[best]), "greedy")

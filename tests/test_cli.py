@@ -20,6 +20,7 @@ import pytest
 
 from tensionkit import community
 from tensionkit.cli import BENCH_COLUMNS, METRIC_COLUMNS, TEAM_COLUMNS, main
+from tensionkit.conformation import DENSE_LIMIT
 from tensionkit.errors import ConvergenceError
 from tensionkit.fileio import read_profiles, read_seed_sets
 
@@ -138,17 +139,16 @@ class TestComm:
         assert groups <= {"D1", "D2", "D3"} and len(lines) >= 4
 
     def test_non_convergence_fails_only_its_row(self, tmp_path, path5, monkeypatch):
-        # every community containing node 0 (profile 0.0, the lowest id, so
-        # the first row of the scored latent block) fails to converge
-        real_conform = community.conform
+        # every community containing node 0 (profile 0.0) fails to converge
+        real_solver = community.equilibrium_tensions
 
-        def conform(g, latent, **kw):
-            if latent[0, 0] == 0.0:
+        def solver(g, latent, sets, **kw):
+            if (latent[np.asarray(sets)] == 0.0).any():
                 raise ConvergenceError("stuck", profiles=latent, residual=1.0,
                                        iterations=7)
-            return real_conform(g, latent, **kw)
+            return real_solver(g, latent, sets, **kw)
 
-        monkeypatch.setattr(community, "conform", conform)
+        monkeypatch.setattr(community, "equilibrium_tensions", solver)
         x = write(tmp_path / "x.profiles", "0.0\n0.2\n0.4\n0.6\n0.8\n")
         seeds = write(tmp_path / "q.seeds", "0 1\n3 4\n")
         out = tmp_path / "comm.csv"
@@ -161,6 +161,22 @@ class TestComm:
                 assert r[-1] == "non-convergence: stuck" and r[4] == ""
             else:
                 assert r[-1] == "ok"
+
+    def test_exhausted_solver_budget_fails_its_row(self, tmp_path, monkeypatch):
+        # the whole path is the tree-hops community, above the dense limit,
+        # and no residual reaches tol 1e-300
+        n = DENSE_LIMIT + 20
+        g = write(tmp_path / "long.edges", "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        seeds = write(tmp_path / "q.seeds", f"0 {n - 1}\n0 1\n")
+        real_solver = community.equilibrium_tensions
+        monkeypatch.setattr(community, "equilibrium_tensions",
+                            lambda g, latent, sets, tol: real_solver(g, latent, sets, tol=1e-300))
+        out = tmp_path / "comm.csv"
+        assert main(["comm", "--graph", g, "--scheme", "uniform", "--seeds", seeds,
+                     "--variant", "tree-hops", "--out", str(out)]) == 0
+        far, near = read_rows(out)[1:]
+        assert far[-1].startswith("non-convergence: conjugate gradients") and far[4] == ""
+        assert near[-1] == "ok" and near[8] == "2"
 
     def test_profiles_and_scheme_together_exit_1(self, tmp_path, path5):
         x = write(tmp_path / "x.profiles", "0.1\n0.2\n0.3\n0.4\n0.5\n")
@@ -217,10 +233,10 @@ class TestTeam:
         assert all(r[11] == "ok" for r in rows)
 
     def test_non_convergence_becomes_failed_row(self, tmp_path, path5, monkeypatch):
-        def conform(g, latent, **kw):
+        def solver(g, latent, sets, **kw):
             raise ConvergenceError("stuck", profiles=latent, residual=1.0, iterations=7)
 
-        monkeypatch.setattr(community, "conform", conform)
+        monkeypatch.setattr(community, "equilibrium_tensions", solver)
         skills = write(tmp_path / "s.skills", "0 a 4\n4 b 4\n")
         proj = write(tmp_path / "p.project", "a b\n")
         out = tmp_path / "team.csv"

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensionkit import (VARIANT_TAGS, EdgeWeights, Graph, InfeasibleError,
-                        InputError, community_solver, evaluate_solution,
-                        peel_community, proxy_weights, tree_community)
+from tensionkit import (VARIANT_TAGS, ConvergenceError, EdgeWeights, Graph,
+                        InfeasibleError, InputError, community_solver,
+                        evaluate_solution, peel_community, proxy_weights,
+                        tree_community)
 from tensionkit.community import PEEL_VARIANTS, seed_connector
+from tensionkit.conformation import DENSE_LIMIT
 
 from conftest import (oracle_is_connected, oracle_min_tension, oracle_tension,
                       random_graph_and_profiles)
@@ -130,6 +132,23 @@ class TestEvaluateSolution:
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         sol = evaluate_solution(g, np.zeros((3, 1)), [0, 1, 2])
         assert sol.edges_induced == 3
+
+    def test_unreachable_tol_above_dense_limit_fails_to_converge(self):
+        # the set is solved by conjugate gradients, whose budget runs out
+        n = DENSE_LIMIT + 30
+        g = Graph(n + 5, [(i, i + 1) for i in range(n + 4)])
+        X = np.random.default_rng(7).random((n + 5, 1))
+        with pytest.raises(ConvergenceError) as exc:
+            evaluate_solution(g, X, range(2, n + 2), tol=1e-300)
+        err = exc.value  # carries the last iterate
+        assert err.profiles.shape == (n, 1) and err.residual > 1e-300
+        F = np.linalg.solve(np.eye(n) * 3 - np.eye(n, k=1) - np.eye(n, k=-1)
+                            - np.diag(np.r_[1.0, np.zeros(n - 2), 1.0]), X[2:n + 2])
+        assert np.abs(err.profiles - F).max() < 1e-6
+        sol = evaluate_solution(g, X, range(2, n + 2))
+        assert sol.edges_induced == n - 1
+        assert sol.tension == pytest.approx(
+            oracle_tension(g.node_count, g.edges(), X, range(2, n + 2)), rel=1e-7)
 
 
 # -- bottom-up strategy ---------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tensionkit import (ConvergenceError, Graph, InputError, conform,
                         equilibrium_residual, equilibrium_solve, node_tension,
                         social_tension)
-from tensionkit.conformation import default_max_iter
+from tensionkit.conformation import (DENSE_LIMIT, default_max_iter,
+                                     equilibrium_tensions)
 
 from conftest import oracle_tension, random_graph_and_profiles
 
@@ -254,3 +255,55 @@ class TestProperties:
         t = social_tension(g, X, F)
         assert t == pytest.approx(oracle_tension(g.node_count, g.edges(), X),
                                   rel=1e-9, abs=1e-12)
+
+
+# -- the exact solver ----------------------------------------------------------
+
+class TestExactSolver:
+    """``equilibrium_solve`` and ``equilibrium_tensions`` against a dense
+    solve done here, on both sides of ``DENSE_LIMIT``."""
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=30)
+    def test_closed_form_tension(self, seed, large):
+        # at the equilibrium (I + L) F = X, so L F = X - F and the tension
+        # ||X - F||^2 + 2 F.(L F) equals ||X||^2 - ||F||^2
+        rng = np.random.default_rng(seed)
+        lo, hi = (DENSE_LIMIT + 1, 2 * DENSE_LIMIT) if large else (2, DENSE_LIMIT)
+        g, X = random_graph_and_profiles(rng, lo, hi, m_attrs=int(rng.integers(1, 5)),
+                                         extra_p=0.01)
+        n = g.node_count
+        ea = np.array(g.edges()).reshape(-1, 2)
+        A = np.zeros((n, n))
+        A[ea[:, 0], ea[:, 1]] = A[ea[:, 1], ea[:, 0]] = 1.0
+        F_star = np.linalg.solve(np.eye(n) + np.diag(A.sum(axis=1)) - A, X)
+        closed = float((X ** 2).sum() - (F_star ** 2).sum())
+        tol = 1e-9
+        assert np.abs(equilibrium_solve(g, X) - F_star).max() <= tol
+        tension, edges = equilibrium_tensions(g, X, [range(n)], tol=tol)
+        assert edges.tolist() == [g.edge_count]
+        # rounding of the closed form, plus (above the limit) the first-order
+        # change of the tension, gradient 2 L F* = 2 (X - F*), within tol
+        slack = 1e-12 * float((X ** 2).sum())
+        if large:
+            slack += 2 * tol * float(np.abs(X - F_star).sum())
+        assert abs(tension[0] - closed) <= slack
+
+    def test_equal_profiles_conform_exactly(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+        X = np.full((5, 2), 0.3)
+        assert np.array_equal(equilibrium_solve(g, X), X)
+        tension, _ = equilibrium_tensions(g, X, [[0, 1, 2], [1, 2, 3], [0, 3, 4]])
+        assert tension.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("sets", [[[0, 0]], [[1, 0]], [[0, 4]], [[-1, 0]], [0, 1], [[]]])
+    def test_malformed_sets_rejected(self, sets):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(InputError, match="ascending distinct ids"):
+            equilibrium_tensions(g, np.zeros((4, 1)), sets)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(InputError, match="tol must be positive and finite"):
+            equilibrium_tensions(g, np.zeros((2, 1)), [[0, 1]], tol=tol)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensionkit import (Graph, InfeasibleError, InputError, SkillMap,
-                        community_solver, form_team, greedy_fixed_size,
-                        proxy_weights, skill_extended_graph)
+                        community_solver, conformation, evaluate_solution,
+                        form_team, greedy_fixed_size, proxy_weights,
+                        skill_extended_graph, teams)
 from tensionkit.community import PEEL_VARIANTS, TREE_VARIANTS
 
 from conftest import (oracle_is_connected, oracle_tension,
@@ -211,6 +212,64 @@ class TestGreedyFixedSize:
         assert sol.tension == pytest.approx(
             oracle_tension(g.node_count, g.edges(), X, sol.nodes),
             rel=1e-7, abs=1e-10)
+
+
+class TestBatchedGreedyScoring:
+    """``greedy_fixed_size`` scores its grown sets in one batched call; the
+    answer must be the one the per-set path picks from the same sets."""
+
+    @staticmethod
+    def _capture_sets(monkeypatch):
+        batches = []
+        real = teams.equilibrium_tensions
+
+        def capture(g, latent, sets, **kw):
+            batches.append(np.asarray(sets))
+            return real(g, latent, sets, **kw)
+
+        monkeypatch.setattr(teams, "equilibrium_tensions", capture)
+        return batches
+
+    @pytest.mark.parametrize("k", range(1, 25))
+    def test_matches_best_per_set_evaluation(self, k, monkeypatch):
+        g, X = random_graph_and_profiles(np.random.default_rng(21), 24, 24,
+                                         m_attrs=3, extra_p=0.15)
+        batches = self._capture_sets(monkeypatch)
+        sol = greedy_fixed_size(g, X, k)
+        (sets,) = batches
+        scored = [evaluate_solution(g, X, row.tolist()) for row in sets]
+        best = min(scored, key=lambda s: (s.tension, s.sorted_nodes()))
+        assert sol.nodes == best.nodes
+        assert sol.edges_induced == best.edges_induced
+        assert sol.tension == pytest.approx(best.tension, rel=1e-12)
+
+    def test_exact_tie_goes_to_the_lowest_node_tuple(self):
+        n = 12
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        X = np.full((n, 2), 0.3)  # every arc of the cycle has tension 0
+        for k in range(1, n + 1):
+            sol = greedy_fixed_size(g, X, k)
+            assert sol.sorted_nodes() == list(range(k)) and sol.tension == 0.0
+
+    def test_batch_spanning_several_chunks(self, monkeypatch):
+        g, X = random_graph_and_profiles(np.random.default_rng(5), 40, 40,
+                                         m_attrs=2, extra_p=0.1)
+        k = 6
+        whole = greedy_fixed_size(g, X, k)
+        batches = self._capture_sets(monkeypatch)
+        monkeypatch.setattr(conformation, "BATCH_ELEMENTS", 3 * k * k)
+        chunked = greedy_fixed_size(g, X, k)
+        assert len(batches[0]) > 3  # so the batch ran in more than one chunk
+        assert (chunked.nodes, chunked.edges_induced, chunked.tension) == \
+            (whole.nodes, whole.edges_induced, whole.tension)
+
+    @pytest.mark.parametrize("cap", [1, 4, 1 << 18])
+    def test_disconnected_set_in_any_chunk_is_infeasible(self, cap, monkeypatch):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        monkeypatch.setattr(conformation, "BATCH_ELEMENTS", cap)
+        with pytest.raises(InfeasibleError, match="disconnected"):
+            conformation.equilibrium_tensions(
+                g, np.zeros((5, 1)), [[0, 1], [1, 2], [2, 3], [3, 4], [1, 3]])
 
 
 class TestCommunitySolverHandle:
