@@ -10,7 +10,11 @@ Two strategies over an attributed graph:
   remove the highest-scoring node whose removal keeps the seeds connected,
   pruning nodes that become isolated along the way.  Scores are either
   static random draws (``"random"``), the sum of the node's surviving
-  incident weights (``"sum"``), or their maximum (``"max"``).
+  incident weights (``"sum"``), or their maximum (``"max"``).  Whether the
+  seeds stay connected is decided from a witness, the nodes on
+  breadth-first-search tree paths from the first seed to the others: a pick
+  off the witness keeps the seeds connected, so only a pick on it runs a new
+  search, which also yields the next witness.
 
 Returned node sets are scored by the tension at the exact equilibrium of
 the induced subgraph, induced non-tree edges included.
@@ -159,25 +163,35 @@ def tree_community(g: Graph, latent, seeds, variant: str = "hops",
 # -- top-down: score-guided peeling -----------------------------------------
 
 def _seeds_reachable(g: Graph, alive: list[bool], start: int,
-                     targets: set[int]) -> bool:
-    """BFS over the surviving nodes; True once every target is reached."""
+                     targets: set[int]) -> set[int] | None:
+    """BFS over the surviving nodes from ``start``.
+
+    Returns the witness of the targets' connectivity, the nodes on the
+    BFS-tree paths from ``start`` to every target, or None when some target
+    cannot be reached.
+    """
     missing = len(targets) - 1  # start is itself a target
     if missing == 0:
-        return True
-    seen = [False] * g.node_count
-    seen[start] = True
+        return {start}
+    parent = [-1] * g.node_count
+    parent[start] = start
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for v in g.neighbors(u):
-            if alive[v] and not seen[v]:
-                seen[v] = True
+            if alive[v] and parent[v] < 0:
+                parent[v] = u
                 if v in targets:
                     missing -= 1
                     if missing == 0:
-                        return True
+                        witness = {start}
+                        for t in targets:
+                            while t not in witness:
+                                witness.add(t)
+                                t = parent[t]
+                        return witness
                 queue.append(v)
-    return False
+    return None
 
 
 def peel_community(g: Graph, latent, seeds, variant: str = "sum",
@@ -185,10 +199,14 @@ def peel_community(g: Graph, latent, seeds, variant: str = "sum",
     """Top-down community search; see the module docstring.
 
     Every pick rescans the remaining candidates, scoring each against the
-    current survivors (ties: lowest node id), then checks with a fresh
-    breadth-first search whether the seeds stay connected without the pick.
-    Seeds are never candidates for removal; nodes isolated by a removal are
-    pruned away.  ``rng_seed`` fixes the draws of the ``"random"`` variant.
+    current survivors (ties: lowest node id).  A witness of the seeds'
+    connectivity, the nodes on breadth-first-search tree paths from the first
+    seed to the others, is kept across picks: a pick outside it leaves those
+    paths intact and is removed at once, a pick on it runs one fresh search,
+    whose paths become the new witness, or is kept as essential when the
+    search fails.  Seeds are never candidates for removal; nodes isolated by a
+    removal are pruned away.  ``rng_seed`` fixes the draws of the ``"random"``
+    variant.
     """
     if variant not in PEEL_VARIANTS:
         raise InputError(f"unknown peel variant {variant!r} (expected one of {PEEL_VARIANTS})")
@@ -209,8 +227,8 @@ def peel_community(g: Graph, latent, seeds, variant: str = "sum",
             by_weight = [sorted(pairs, key=lambda t: -t[1]) for pairs in wadj]
 
     alive = [True] * n
-    everyone = _seeds_reachable(g, alive, seeds[0], seed_set)
-    if not everyone:
+    witness = _seeds_reachable(g, alive, seeds[0], seed_set)
+    if witness is None:
         raise InfeasibleError("seeds in different components")
 
     pool = [v for v in range(n) if v not in seed_set]  # K, ascending id
@@ -248,17 +266,21 @@ def peel_community(g: Graph, latent, seeds, variant: str = "sum",
         survivors.remove(v)
         pool = survivors
         alive[v] = False
-        if _seeds_reachable(g, alive, seeds[0], seed_set):
-            # committed; prune candidates the removal isolated (they have no
-            # surviving neighbors left, so pruning them isolates nobody else)
-            for u in g.neighbors(v):
-                if alive[u]:
-                    deg[u] -= 1
-                    if deg[u] == 0 and u not in seed_set:
-                        alive[u] = False
-        else:
-            alive[v] = True
-            kept.append(v)  # essential: stays in the survivors, leaves K
+        if v in witness:
+            fresh = _seeds_reachable(g, alive, seeds[0], seed_set)
+            if fresh is None:
+                alive[v] = True
+                kept.append(v)  # essential: stays in the survivors, leaves K
+                continue
+            witness = fresh
+        # committed; prune candidates the removal isolated (they have no
+        # surviving neighbors left, so none lies on a witness path and
+        # pruning them isolates nobody else)
+        for u in g.neighbors(v):
+            if alive[u]:
+                deg[u] -= 1
+                if deg[u] == 0 and u not in seed_set:
+                    alive[u] = False
 
     result = set(kept) | seed_set
     return evaluate_solution(g, latent, result, algorithm_tag=f"peel-{variant}")

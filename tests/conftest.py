@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's own graph and solver
 machinery: connectivity is re-derived from raw edge lists, equilibria from a
 dense linear solve, shortest-path distances from a pure-Python heap Dijkstra
-and BFS, so the tests cross-check two independent routes.
+and BFS, so the tests cross-check two independent routes.  The reference
+peel keeps the package's scoring but asks a full breadth-first search after
+every pick.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import deque
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from tensionkit import Graph
+from tensionkit import Graph, InfeasibleError, evaluate_solution, proxy_weights
 
 settings.register_profile(
     "default",
@@ -149,6 +151,95 @@ def reference_path_distances(n: int, edges, src: int, weights=None):
                 dh[v] = ch
                 heapq.heappush(heap, (cw, ch, v))
     return dw, dh
+
+
+def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",
+                             rng_seed: int = 0, weights=None):
+    """The top-down peel as it ran before the connectivity witness: the same
+    scores, tie-break and pruning as ``peel_community``, with a full BFS over
+    the survivors after every pick.  Takes sorted, distinct, in-range seeds."""
+    seed_set = set(seeds)
+    n = g.node_count
+
+    def seeds_reachable(alive):
+        missing = len(seed_set) - 1
+        if missing == 0:
+            return True
+        seen = [False] * n
+        seen[seeds[0]] = True
+        queue = deque([seeds[0]])
+        while queue:
+            u = queue.popleft()
+            for v in g.neighbors(u):
+                if alive[v] and not seen[v]:
+                    seen[v] = True
+                    if v in seed_set:
+                        missing -= 1
+                        if missing == 0:
+                            return True
+                    queue.append(v)
+        return False
+
+    static = wadj = by_weight = None
+    if variant == "random":
+        static = np.random.default_rng(rng_seed).random(n).tolist()
+    else:
+        if weights is None:
+            weights = proxy_weights(g, latent)
+        wadj = weights.weighted_adjacency()
+        if variant == "max":
+            by_weight = [sorted(pairs, key=lambda t: -t[1]) for pairs in wadj]
+
+    alive = [True] * n
+    if not seeds_reachable(alive):
+        raise InfeasibleError("seeds in different components")
+
+    pool = [v for v in range(n) if v not in seed_set]
+    deg = g.degrees().tolist()
+    kept: list[int] = []
+
+    while pool:
+        best_v = -1
+        best_s = -math.inf
+        survivors: list[int] = []
+        for v in pool:
+            if not alive[v]:
+                continue
+            survivors.append(v)
+            if static is not None:
+                s = static[v]
+            elif by_weight is not None:
+                s = 0.0
+                for u, w in by_weight[v]:
+                    if alive[u]:
+                        s = w
+                        break
+            else:
+                s = 0.0
+                for u, w in wadj[v]:
+                    if alive[u]:
+                        s += w
+            if s > best_s:
+                best_s = s
+                best_v = v
+        if best_v < 0:
+            break
+        v = best_v
+        survivors.remove(v)
+        pool = survivors
+        alive[v] = False
+        if seeds_reachable(alive):
+            for u in g.neighbors(v):
+                if alive[u]:
+                    deg[u] -= 1
+                    if deg[u] == 0 and u not in seed_set:
+                        alive[u] = False
+        else:
+            alive[v] = True
+            kept.append(v)
+
+    return evaluate_solution(g, latent, set(kept) | seed_set,
+                             algorithm_tag=f"peel-{variant}")
 
 
 class OracleUnionFind:

@@ -9,11 +9,12 @@ from tensionkit import (VARIANT_TAGS, ConvergenceError, EdgeWeights, Graph,
                         InfeasibleError, InputError, community_solver,
                         evaluate_solution, peel_community, proxy_weights,
                         tree_community)
+from tensionkit import community
 from tensionkit.community import PEEL_VARIANTS, seed_connector
 from tensionkit.conformation import DENSE_LIMIT
 
 from conftest import (oracle_is_connected, oracle_min_tension, oracle_tension,
-                      random_graph_and_profiles)
+                      random_graph_and_profiles, reference_peel_community)
 
 
 def _solve(tag, g, X, seeds, seed=0):
@@ -268,6 +269,130 @@ class TestPeelCommunity:
         X = np.array([[0.0], [0.5], [1.0], [0.3], [0.7]])
         sol = peel_community(g, X, [0, 2], variant="max")
         assert sol.sorted_nodes() == [0, 1, 2]
+
+
+# -- the witness of seed connectivity ---------------------------------------------
+
+PEEL_FAMILIES = ("components", "single-seed", "all-seeds", "path", "tree", "tied-weights")
+
+
+def _peel_case(rng, family):
+    """A graph, profiles, seeds and edge weights (None: proxy weights) of one
+    family; the seeds always share a component."""
+    if family == "components":
+        # two or three disjoint random graphs, seeds from one of them
+        parts, offset, edges = [], 0, []
+        for _ in range(int(rng.integers(2, 4))):
+            part, _ = random_graph_and_profiles(rng, 1, 8)
+            edges += [(u + offset, v + offset) for u, v in part.edges()]
+            parts.append(range(offset, offset + part.node_count))
+            offset += part.node_count
+        g = Graph(offset, edges)
+        home = list(parts[int(rng.integers(len(parts)))])
+        seeds = rng.choice(home, size=int(rng.integers(1, min(3, len(home)) + 1)),
+                           replace=False)
+        return g, rng.random((g.node_count, 2)), sorted(seeds.tolist()), None
+    if family == "path":
+        n = int(rng.integers(2, 16))
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        X = rng.random((n, 1))
+    elif family == "tree":
+        g, X = random_graph_and_profiles(rng, 2, 20, extra_p=0.0)
+    else:
+        g, X = random_graph_and_profiles(rng, 2, 20, extra_p=0.2)
+    n = g.node_count
+    if family == "single-seed":
+        seeds = [int(rng.integers(n))]
+    elif family == "all-seeds":
+        seeds = list(range(n))
+    else:
+        seeds = sorted(rng.choice(n, size=int(rng.integers(1, min(4, n) + 1)),
+                                  replace=False).tolist())
+    weights = None
+    if family == "tied-weights":
+        weights = EdgeWeights(g, rng.choice([0.0, 0.0, 0.5, 1.0], size=g.edge_count))
+    return g, X, seeds, weights
+
+
+class TestSeedWitness:
+    @given(st.integers(0, 100_000), st.sampled_from(PEEL_FAMILIES))
+    @settings(max_examples=120)
+    def test_peel_matches_full_search_per_pick(self, seed, family):
+        rng = np.random.default_rng(seed)
+        g, X, seeds, weights = _peel_case(rng, family)
+        for variant in PEEL_VARIANTS:
+            got = peel_community(g, X, seeds, variant=variant, rng_seed=seed,
+                                 weights=weights)
+            want = reference_peel_community(g, X, seeds, variant=variant,
+                                            rng_seed=seed, weights=weights)
+            assert got.nodes == want.nodes, variant
+            assert got.edges_induced == want.edges_induced, variant
+            assert got.tension == want.tension, variant
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=80)
+    def test_witness_is_a_connected_set_of_survivors_holding_every_seed(self, seed):
+        rng = np.random.default_rng(seed)
+        g, _ = random_graph_and_profiles(rng, 2, 20, connected=False, extra_p=0.15)
+        n = g.node_count
+        seeds = set(rng.choice(n, size=int(rng.integers(1, min(4, n) + 1)),
+                               replace=False).tolist())
+        alive = (rng.random(n) < 0.7).tolist()
+        for s in seeds:
+            alive[s] = True
+        survivors = [v for v in range(n) if alive[v]]
+        witness = community._seeds_reachable(g, alive, min(seeds), seeds)
+        # the seeds share a component of the survivors exactly when some
+        # connected set of survivors holds them all
+        component = {min(seeds)}
+        frontier = [min(seeds)]
+        while frontier:
+            u = frontier.pop()
+            for v in g.neighbors(u):
+                if alive[v] and v not in component:
+                    component.add(v)
+                    frontier.append(v)
+        if not seeds <= component:
+            assert witness is None
+            return
+        assert witness is not None
+        assert seeds <= witness <= set(survivors)
+        assert oracle_is_connected(n, g.edges(), witness)
+
+    def test_cut_off_seed_has_no_witness(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert community._seeds_reachable(g, [True, True, False, True], 0, {0, 3}) is None
+        assert community._seeds_reachable(g, [True] * 4, 0, {0, 3}) == {0, 1, 2, 3}
+        assert community._seeds_reachable(g, [True, False, False, False], 0, {0}) == {0}
+
+    def test_most_picks_skip_the_search(self, monkeypatch):
+        # every non-seed hangs off a seed, so nothing is ever pruned and each
+        # of the 196 non-seeds is picked exactly once
+        rng = np.random.default_rng(5)
+        n, seeds = 200, [0, 1, 2, 3]
+        edges = {(v % 4, v) for v in range(4, n)}
+        for u in range(4, n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.03:
+                    edges.add((u, v))
+        g = Graph(n, sorted(edges))
+        X = rng.random((n, 2))
+        searches = 0
+        search = community._seeds_reachable
+
+        def counted(*args):
+            nonlocal searches
+            searches += 1
+            return search(*args)
+
+        monkeypatch.setattr(community, "_seeds_reachable", counted)
+        picks = n - len(seeds)
+        for variant in PEEL_VARIANTS:
+            searches = 0
+            sol = peel_community(g, X, seeds, variant=variant, rng_seed=2)
+            assert sol.nodes == reference_peel_community(
+                g, X, seeds, variant=variant, rng_seed=2).nodes
+            assert 1 <= searches < picks, variant
 
 
 # -- properties over random instances -------------------------------------------
