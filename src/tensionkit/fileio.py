@@ -32,7 +32,7 @@ def read_edge_list(path) -> Graph:
     Duplicate and reversed pairs are deduplicated; self-loops are rejected.
     The node count is the largest id plus one.
     """
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     max_id = -1
     for lineno, payload in _data_lines(path):
         parts = payload.split()
@@ -46,11 +46,11 @@ def read_edge_list(path) -> Graph:
             raise InputError(f"{path}:{lineno}: node ids must be nonnegative")
         if u == v:
             raise InputError(f"{path}:{lineno}: self-loop at node {u} rejected")
-        edges.add((u, v) if u < v else (v, u))
+        edges.append((u, v))
         max_id = max(max_id, u, v)
     if max_id < 0:
         raise InputError(f"{path}: no edges found")
-    return Graph(max_id + 1, sorted(edges))
+    return Graph(max_id + 1, edges)
 
 
 def write_edge_list(path, g: Graph) -> None:

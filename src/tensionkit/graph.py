@@ -2,8 +2,17 @@
 
 Design notes
 ------------
-Nodes are contiguous ids ``0..n-1`` and adjacency lists are kept sorted, so
-every traversal (and every tie-break built on top of one) is deterministic.
+Nodes are contiguous ids ``0..n-1``.  A ``Graph`` is CSR arrays built in one
+vectorized pass: the canonical edges ``u < v`` sorted by their keys ``u * n
++ v`` (kept for binary search), ``indptr`` / ``indices`` with columns
+ascending in each row, and ``edge_ids``, the edge of each CSR entry, so a
+weight vector becomes CSR data as ``values[edge_ids]``.  Sorted neighbors
+make every traversal, and every tie-break on top of one, deterministic.
+The Python list views (``edges()``, ``neighbors()``, ``weighted_adjacency()``)
+are built on first use, for the loops still in Python: the peel and
+``node_tension``.  scipy copies the index arrays to int32 in each
+``csr_matrix`` it hands to ``csgraph``, hence ``MAX_NODES``, which also keeps
+the keys within int64; below it, a graph still allocates O(node count).
 Shortest paths are resolved by the composite key ``(total weight, hop count,
 node sequence)``: among minimum-weight paths the fewest-hop ones win, and
 among those the lexicographically smallest node sequence wins.  The hop
@@ -27,7 +36,6 @@ Zero weights are edges, kept as explicit CSR entries.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,62 +45,78 @@ from scipy.sparse import csgraph
 from .errors import InfeasibleError, InputError
 
 _REL_TOL = 1e-9  # slack for float equality in weighted path reconstruction
+MAX_NODES = 2**31 - 1  # csgraph's int32 index limit (see the design notes)
 
 
 class Graph:
-    """Immutable simple undirected graph over node ids ``0..n-1``."""
+    """Immutable simple undirected graph over node ids ``0..n-1``, from
+    ``(u, v)`` pairs or an ``(E, 2)`` array; duplicate and reversed pairs
+    collapse into one edge."""
 
-    __slots__ = ("node_count", "edge_count", "_adj", "_edges", "_degrees",
-                 "_csr", "_edge_array")
+    __slots__ = ("node_count", "edge_count", "indptr", "indices", "edge_ids",
+                 "_edge_array", "_keys", "_edges", "_adj", "_csr")
 
-    def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if node_count < 1:
             raise InputError("empty graph: node_count must be at least 1")
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise InputError(f"edge ({u}, {v}) outside node range 0..{node_count - 1}")
-            if u == v:
-                raise InputError(f"self-loop at node {u} is not allowed")
-            seen.add((u, v) if u < v else (v, u))
-        self.node_count = node_count
-        self._edges = sorted(seen)
-        self.edge_count = len(self._edges)
-        adj: list[list[int]] = [[] for _ in range(node_count)]
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        self._adj = adj
-        self._degrees = None
-        self._csr = None
-        self._edge_array = None
+        if node_count > MAX_NODES:
+            raise InputError(f"node_count {node_count} exceeds the limit of {MAX_NODES}")
+        n = node_count
+        try:
+            ea = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
+            ea = ea.reshape(0, 2) if ea.size == 0 else ea
+        except (OverflowError, TypeError, ValueError):
+            ea = None
+        if ea is None or ea.ndim != 2 or ea.shape[1] != 2:
+            raise InputError("edges must be pairs of integer node ids")
+        u, v = ea[:, 0], ea[:, 1]
+        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        bad = outside | (u == v)
+        if bad.any():  # report the first bad edge, range before self-loop
+            k = int(np.argmax(bad))
+            if outside[k]:
+                raise InputError(f"edge ({u[k]}, {v[k]}) outside node range 0..{n - 1}")
+            raise InputError(f"self-loop at node {u[k]} is not allowed")
+        # deduplicate by a sort: np.unique hashes first, 50x slower on 1 M keys
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        lo, hi = np.divmod(keys, n)
+        m = len(keys)
+        # each edge at both ends, ordered by the (unique) entry keys row * n + col
+        rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.argsort(rows * n + cols)
+        self.node_count = n
+        self.edge_count = m
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self.indices = cols[order]
+        self.edge_ids = order % max(m, 1)  # entry k of either half is edge k
+        self._edge_array = np.column_stack([lo, hi])
+        self._keys = keys
+        self._edges = self._adj = self._csr = None
 
     # -- basic accessors -------------------------------------------------
 
     def neighbors(self, i: int) -> list[int]:
+        if self._adj is None:
+            flat, ptr = self.indices.tolist(), self.indptr.tolist()
+            self._adj = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
         return self._adj[i]
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
+        if self._edges is None:
+            self._edges = list(zip(*self._edge_array.T.tolist()))
         return self._edges
 
     def degrees(self) -> np.ndarray:
-        if self._degrees is None:
-            self._degrees = np.array([len(a) for a in self._adj], dtype=np.int64)
-        return self._degrees
+        return np.diff(self.indptr)
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an (E, 2) int array (empty (0, 2) when there are none)."""
-        if self._edge_array is None:
-            if self._edges:
-                self._edge_array = np.array(self._edges, dtype=np.int64)
-            else:
-                self._edge_array = np.empty((0, 2), dtype=np.int64)
+        """Edges as an (E, 2) int array, rows in :meth:`edges` order."""
         return self._edge_array
 
     def edges_within(self, nodes: Iterable[int]) -> np.ndarray:
@@ -114,17 +138,14 @@ class Graph:
 def _symmetric_csr(g: Graph, values: np.ndarray) -> sp.csr_matrix:
     """Symmetric CSR with ``values[k]`` at both entries of edge ``k``;
     columns ascend in each row, and zeros stay explicit entries (edges)."""
-    ea = g.edge_array()
-    rows = np.concatenate([ea[:, 0], ea[:, 1]])
-    cols = np.concatenate([ea[:, 1], ea[:, 0]])
     n = g.node_count
-    return sp.csr_matrix((np.concatenate([values, values]), (rows, cols)), shape=(n, n))
+    return sp.csr_matrix((values[g.edge_ids], g.indices, g.indptr), shape=(n, n))
 
 
 class EdgeWeights:
     """Nonnegative real weights keyed on the unordered edges of one graph."""
 
-    __slots__ = ("graph", "values", "_wadj", "_csr", "_csr_ends")
+    __slots__ = ("graph", "values", "_wadj", "_csr")
 
     def __init__(self, graph: Graph, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
@@ -136,9 +157,7 @@ class EdgeWeights:
             raise InputError("edge weights must be nonnegative")
         self.graph = graph
         self.values = values
-        self._wadj = None
-        self._csr = None
-        self._csr_ends = None
+        self._wadj = self._csr = None
 
     @classmethod
     def from_mapping(cls, graph: Graph, mapping: Mapping[tuple[int, int], float]) -> "EdgeWeights":
@@ -150,23 +169,19 @@ class EdgeWeights:
         return self.values[_edge_positions(self.graph, [(u, v)], "no weight for")[0]]
 
     def weighted_adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per-node list of (neighbor, weight), neighbors ascending."""
+        """Per-node list of (neighbor, weight) with Python floats, neighbors
+        ascending."""
         if self._wadj is None:
-            wadj: list[list[tuple[int, float]]] = [[] for _ in range(self.graph.node_count)]
-            for (u, v), w in zip(self.graph.edges(), self.values):
-                wadj[u].append((v, w))
-                wadj[v].append((u, w))
-            for lst in wadj:
-                lst.sort()
-            self._wadj = wadj
+            g = self.graph
+            flat = list(zip(g.indices.tolist(), self.values[g.edge_ids].tolist()))
+            ptr = g.indptr.tolist()
+            self._wadj = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
         return self._wadj
 
     def weighted_csr(self) -> sp.csr_matrix:
         """Symmetric weighted adjacency; zero weights stay explicit entries."""
         if self._csr is None:
             self._csr = _symmetric_csr(self.graph, self.values)
-            coo = self._csr.tocoo()  # each entry's (row, col), int64 for fast gathers
-            self._csr_ends = coo.row.astype(np.int64), coo.col.astype(np.int64)
         return self._csr
 
     def with_zeroed(self, pairs: Iterable[tuple[int, int]]) -> "EdgeWeights":
@@ -178,11 +193,10 @@ class EdgeWeights:
 
 def _find_edges(g: Graph, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in ``g.edges()`` of the pairs ``u < v`` (arrays of any one
-    shape), and whether each pair is an edge.  The edges are sorted, so
-    their keys ``u * n + v`` ascend and a binary search finds each."""
-    n = g.node_count
-    ea = g.edge_array()
-    keys, want = ea[:, 0] * n + ea[:, 1], u * n + v
+    shape), and whether each pair is an edge: a binary search of the sorted
+    edge keys ``u * n + v``."""
+    n, keys = g.node_count, g._keys
+    want = u * n + v
     at = np.searchsorted(keys, want)
     found = (u >= 0) & (v < n) & (at < len(keys))
     found[found] = keys[at[found]] == want[found]
@@ -242,35 +256,29 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
     remap = np.full(g.node_count, -1, dtype=np.int64)
     remap[olds] = np.arange(len(olds))
     inside = remap[g.edge_array()[g.edges_within(olds)]]
-    return Graph(len(olds), zip(inside[:, 0].tolist(), inside[:, 1].tolist())), olds
+    return Graph(len(olds), inside), olds
+
+
+def _component_labels(g: Graph) -> np.ndarray:
+    """Each node's component, the components numbered by smallest member."""
+    count, labels = csgraph.connected_components(g.adjacency_csr(), directed=False)
+    first = np.full(count, g.node_count)
+    np.minimum.at(first, labels, np.arange(g.node_count))
+    return np.argsort(np.argsort(first))[labels]
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted node lists, ordered by smallest member."""
-    seen = [False] * g.node_count
-    comps: list[list[int]] = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comp.sort()
-        comps.append(comp)
-    return comps
+    labels = _component_labels(g)
+    nodes = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def largest_component(g: Graph) -> list[int]:
     """Nodes of the largest component (ties: smallest minimum id), sorted."""
-    comps = connected_components(g)
-    return max(comps, key=lambda c: (len(c), -c[0]))
+    labels = _component_labels(g)
+    return np.flatnonzero(labels == np.argmax(np.bincount(labels))).tolist()
 
 
 # -- distances and shortest paths ------------------------------------------
@@ -320,8 +328,7 @@ def path_distances(g: Graph, src: int,
     W = weights.weighted_csr()
     dw = csgraph.dijkstra(W, indices=src)
     # hop counts: fewest tight edges from src (see the module design notes)
-    tails, heads = weights._csr_ends
-    tight = np.flatnonzero(dw[tails] + W.data == dw[heads])
+    tight = np.flatnonzero(np.repeat(dw, g.degrees()) + W.data == dw[g.indices])
     T = sp.csr_matrix((np.ones(len(tight)), W.indices[tight], np.searchsorted(tight, W.indptr)),
                       shape=W.shape)
     return dw, _as_hops(_hop_rows(T, src))

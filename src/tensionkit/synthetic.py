@@ -10,17 +10,18 @@ from .errors import InputError
 from .graph import Graph
 
 
+def _row_draws(n: int, rng: np.random.Generator, prob) -> list[tuple[int, int]]:
+    """Pairs ``i < j``, drawn row by row: pair ``(i, j)`` is kept with
+    probability ``prob(i)``, a scalar or one value per ``j > i``."""
+    return [(i, j) for i in range(n - 1)
+            for j in (np.flatnonzero(rng.random(n - i - 1) < prob(i)) + i + 1).tolist()]
+
+
 def gnp_graph(n: int, p: float, rng_seed: int = 0) -> Graph:
     """Erdos-Renyi G(n, p), drawn row by row for memory friendliness."""
     if not 0.0 <= p <= 1.0:
         raise InputError("edge probability must lie in [0, 1]")
-    rng = np.random.default_rng(rng_seed)
-    edges: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        mask = rng.random(n - i - 1) < p
-        for j in np.nonzero(mask)[0]:
-            edges.append((i, i + 1 + int(j)))
-    return Graph(n, edges)
+    return Graph(n, _row_draws(n, np.random.default_rng(rng_seed), lambda i: p))
 
 
 def gnm_graph(n: int, m: int, rng_seed: int = 0) -> Graph:
@@ -32,13 +33,12 @@ def gnm_graph(n: int, m: int, rng_seed: int = 0) -> Graph:
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < m:
         batch = rng.integers(0, n, size=(max(1024, 2 * (m - len(chosen))), 2))
-        for u, v in batch:
+        for u, v in batch.tolist():
             if u != v:
-                key = (int(u), int(v)) if u < v else (int(v), int(u))
-                chosen.add(key)
+                chosen.add((min(u, v), max(u, v)))
                 if len(chosen) == m:
                     break
-    return Graph(n, sorted(chosen))
+    return Graph(n, chosen)
 
 
 def planted_partition_graph(n_blocks: int, block_size: int, p_in: float,
@@ -49,13 +49,8 @@ def planted_partition_graph(n_blocks: int, block_size: int, p_in: float,
     node."""
     n = n_blocks * block_size
     labels = np.arange(n) // block_size
-    rng = np.random.default_rng(rng_seed)
-    edges: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        probs = np.where(labels[i + 1:] == labels[i], p_in, p_out)
-        mask = rng.random(n - i - 1) < probs
-        for j in np.nonzero(mask)[0]:
-            edges.append((i, i + 1 + int(j)))
+    edges = _row_draws(n, np.random.default_rng(rng_seed),
+                       lambda i: np.where(labels[i + 1:] == labels[i], p_in, p_out))
     return Graph(n, edges), labels
 
 

@@ -91,18 +91,14 @@ def skill_extended_graph(g: Graph, skills: SkillMap, latent
     """
     X = profile_matrix(g, latent)
     n = g.node_count
-    edges = list(g.edges())
     ids = {label: n + k for k, label in enumerate(skills.labels)}
-    rows = [X]
-    for k, label in enumerate(skills.labels):
-        holders = sorted(skills.holders[k])
-        for h in holders:
-            edges.append((h, n + k))
-        if holders:
-            rows.append(X[holders].mean(axis=0, keepdims=True))
-        else:
-            rows.append(np.zeros((1, X.shape[1])))
-    ext = Graph(n + len(skills.labels), edges)
+    holders = [np.array(sorted(h), dtype=np.int64) for h in skills.holders]
+    skill_edges = np.column_stack([
+        np.concatenate([np.empty(0, np.int64), *holders]),
+        np.repeat(np.arange(n, n + len(holders)), [len(h) for h in holders])])
+    rows = [X] + [X[h].mean(axis=0, keepdims=True) if len(h) else np.zeros((1, X.shape[1]))
+                  for h in holders]
+    ext = Graph(n + len(skills.labels), np.concatenate([g.edge_array(), skill_edges]))
     return ext, ids, np.vstack(rows)
 
 
@@ -120,9 +116,12 @@ def form_team(g: Graph, latent, skills: SkillMap, required: Iterable[str],
 
     # step 1: community of skill nodes in the extended graph
     ext, ids, ext_latent = skill_extended_graph(g, skills, latent)
-    ea = ext.edge_array()
-    ext_weights = proxy_weights(ext, ext_latent, weight_norm).with_zeroed(
-        ea[ea[:, 1] >= g.node_count])
+    # the base edges keep their order among the extended graph's edges;
+    # the skill edges, whose upper end is a skill node, weigh zero
+    base = proxy_weights(g, latent, weight_norm)
+    ext_values = np.zeros(ext.edge_count)
+    ext_values[ext.edge_array()[:, 1] < g.node_count] = base.values
+    ext_weights = EdgeWeights(ext, ext_values)
     seed_nodes = [ids[label] for label in labels]
     step1 = solver(ext, ext_latent, seed_nodes, ext_weights)
     individuals = {v for v in step1.nodes if v < g.node_count}
@@ -132,9 +131,7 @@ def form_team(g: Graph, latent, skills: SkillMap, required: Iterable[str],
         individuals = {min(skills.holders_of(labels[0]))}
 
     # step 2: community of those individuals in the original graph
-    if weights is None:
-        weights = proxy_weights(g, latent, weight_norm)
-    final = solver(g, latent, sorted(individuals), weights)
+    final = solver(g, latent, sorted(individuals), base if weights is None else weights)
     for label in labels:
         if not (skills.holders_of(label) & final.nodes):
             raise RuntimeError(f"team formation lost coverage of skill {label!r}")

@@ -5,7 +5,8 @@ machinery: connectivity is re-derived from raw edge lists, equilibria from a
 dense linear solve, shortest-path distances from a pure-Python heap Dijkstra
 and BFS, so the tests cross-check two independent routes.  The reference
 peel keeps the package's scoring but asks a full breadth-first search after
-every pick.
+every pick, and the reference graph is the list-of-lists construction that
+the CSR ``Graph`` replaced.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import math
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
-from tensionkit import Graph, InfeasibleError, evaluate_solution, proxy_weights
+from tensionkit import (Graph, InfeasibleError, InputError, evaluate_solution,
+                        proxy_weights)
 
 settings.register_profile(
     "default",
@@ -151,6 +154,70 @@ def reference_path_distances(n: int, edges, src: int, weights=None):
                 dh[v] = ch
                 heapq.heappush(heap, (cw, ch, v))
     return dw, dh
+
+
+def reference_graph(node_count: int, edges):
+    """The list-of-lists ``Graph`` constructor as it was before the CSR
+    arrays, same errors included: the sorted canonical edge list and the
+    sorted neighbor lists."""
+    if node_count < 1:
+        raise InputError("empty graph: node_count must be at least 1")
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise InputError(f"edge ({u}, {v}) outside node range 0..{node_count - 1}")
+        if u == v:
+            raise InputError(f"self-loop at node {u} is not allowed")
+        seen.add((u, v) if u < v else (v, u))
+    edge_list = sorted(seen)
+    adj: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in edge_list:
+        adj[u].append(v)
+        adj[v].append(u)
+    for lst in adj:
+        lst.sort()
+    return edge_list, adj
+
+
+def reference_csr(n: int, edge_list, values) -> sp.csr_matrix:
+    """Symmetric CSR built through COO with ``values[k]`` on edge ``k``."""
+    ea = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
+    return sp.csr_matrix((np.concatenate([values, values]),
+                          (np.r_[ea[:, 0], ea[:, 1]], np.r_[ea[:, 1], ea[:, 0]])),
+                         shape=(n, n))
+
+
+def reference_weighted_adjacency(n: int, edge_list, values):
+    wadj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (u, v), w in zip(edge_list, values):
+        wadj[u].append((v, w))
+        wadj[v].append((u, w))
+    for lst in wadj:
+        lst.sort()
+    return wadj
+
+
+def reference_components(adj) -> list[list[int]]:
+    """Sorted node lists ordered by smallest member: a BFS from each unseen
+    node in id order."""
+    seen = [False] * len(adj)
+    comps: list[list[int]] = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    queue.append(v)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",

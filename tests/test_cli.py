@@ -178,6 +178,11 @@ class TestComm:
         assert far[-1].startswith("non-convergence: conjugate gradients") and far[4] == ""
         assert near[-1] == "ok" and near[8] == "2"
 
+    def test_id_beyond_the_node_limit_exits_1(self, tmp_path, caplog):
+        g = write(tmp_path / "far.edges", "0 4000000000\n")
+        assert main(["comm", "--graph", g, "--scheme", "uniform"]) == 1
+        assert "exceeds the limit" in caplog.text
+
     def test_profiles_and_scheme_together_exit_1(self, tmp_path, path5):
         x = write(tmp_path / "x.profiles", "0.1\n0.2\n0.3\n0.4\n0.5\n")
         assert main(["comm", "--graph", path5, "--profiles", x,

@@ -47,6 +47,12 @@ class TestEdgeList:
         with pytest.raises(InputError, match="no edges found"):
             read_edge_list(p)
 
+    def test_id_beyond_the_node_limit_rejected(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("0 4000000000\n")
+        with pytest.raises(InputError, match="exceeds the limit"):
+            read_edge_list(p)
+
     def test_roundtrip(self, tmp_path):
         g = Graph(5, [(0, 3), (1, 2), (2, 4)])
         p = tmp_path / "g.edges"

@@ -11,11 +11,12 @@ from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
                         connected_components, induced_subgraph,
                         largest_component, minimum_spanning_tree,
                         shortest_path)
-from tensionkit.graph import (DisjointSet, bfs_distances, hop_distance_matrix,
-                              path_distances)
+from tensionkit.graph import (MAX_NODES, DisjointSet, bfs_distances,
+                              hop_distance_matrix, path_distances)
 
-from conftest import (OracleUnionFind, oracle_is_connected,
-                      reference_path_distances)
+from conftest import (OracleUnionFind, oracle_is_connected, reference_components,
+                      reference_csr, reference_graph, reference_path_distances,
+                      reference_weighted_adjacency)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -71,6 +72,96 @@ class TestGraphConstruction:
         assert g.edge_array().tolist() == [[0, 1], [1, 2]]
         csr = g.adjacency_csr()
         assert csr.shape == (3, 3) and csr.nnz == 4
+
+
+@st.composite
+def edge_lists(draw):
+    """Node count plus raw pairs: duplicates, reversed pairs, isolated
+    nodes, no edges at all, ``n = 1``."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=4 * n))
+    pairs = [(u, v) for u, v in pairs if u != v]
+    if draw(st.booleans()):
+        pairs += [(v, u) for u, v in pairs[: len(pairs) // 2]]
+    return n, pairs
+
+
+class TestMatchesReferenceConstruction:
+    """The CSR build against the list-of-lists constructor it replaced."""
+
+    @given(edge_lists(), st.sampled_from(["tuples", "array", "iterator"]), st.data())
+    def test_every_view_matches(self, case, form, data):
+        n, pairs = case
+        ref_edges, ref_adj = reference_graph(n, pairs)
+        arg = {"tuples": pairs, "array": np.array(pairs, dtype=np.int64).reshape(-1, 2),
+               "iterator": iter(pairs)}[form]
+        g = Graph(n, arg)
+        assert g.edges() == ref_edges and g.edge_count == len(ref_edges)
+        assert g.edge_array().tolist() == [list(e) for e in ref_edges]
+        for i in range(n):
+            assert g.neighbors(i) == ref_adj[i]
+            assert all(type(j) is int for j in g.neighbors(i))
+            assert g.degree(i) == len(ref_adj[i])
+        assert g.degrees().tolist() == [len(a) for a in ref_adj]
+
+        values = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.5]), min_size=g.edge_count,
+            max_size=g.edge_count)), dtype=np.float64)
+        w = EdgeWeights(g, values)
+        for got, want in ((g.adjacency_csr(), reference_csr(n, ref_edges, np.ones(len(values)))),
+                          (w.weighted_csr(), reference_csr(n, ref_edges, values))):
+            assert got.shape == want.shape
+            assert got.indptr.tolist() == want.indptr.tolist()
+            assert got.indices.tolist() == want.indices.tolist()
+            assert got.data.tolist() == want.data.tolist()  # explicit zeros kept
+        assert w.weighted_adjacency() == reference_weighted_adjacency(n, ref_edges, values)
+        assert all(type(x) is float for row in w.weighted_adjacency() for _, x in row)
+
+        comps = reference_components(ref_adj)
+        assert connected_components(g) == comps
+        assert largest_component(g) == max(comps, key=lambda c: (len(c), -c[0]))
+
+        keep = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        sub, olds = induced_subgraph(g, keep)
+        new = {v: k for k, v in enumerate(olds)}
+        assert olds == sorted(set(keep))
+        ref_sub, ref_sub_adj = reference_graph(len(olds), [
+            (new[u], new[v]) for u, v in ref_edges if u in new and v in new])
+        assert sub.edges() == ref_sub
+        assert [sub.neighbors(i) for i in range(len(olds))] == ref_sub_adj
+
+    @pytest.mark.parametrize("n,pairs", [
+        (3, [(0, 1), (3, 1), (2, 2)]),   # out of range comes first
+        (3, [(0, 1), (2, 2), (3, 1)]),   # self-loop comes first
+        (3, [(1, -1)]),
+        (2, [(0, 5), (1, 1)]),
+        (2, [(4, 4)]),                   # both: the range is reported
+        (0, []),
+    ])
+    def test_errors_match(self, n, pairs):
+        with pytest.raises(InputError) as want:
+            reference_graph(n, pairs)
+        with pytest.raises(InputError) as got:
+            Graph(n, pairs)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0, "a")], [[0, 1], [2]]])
+    def test_malformed_pairs_rejected(self, edges):
+        with pytest.raises(InputError, match="pairs of integer node ids"):
+            Graph(3, edges)
+
+    def test_node_count_above_the_key_limit_rejected(self):
+        # before allocating anything of size node_count
+        with pytest.raises(InputError, match="exceeds the limit"):
+            Graph(MAX_NODES + 1, [(0, 1)])
+        with pytest.raises(InputError, match="exceeds the limit"):
+            Graph(4_000_000_001, np.array([[0, 4_000_000_000]]))
+
+    def test_stored_keys_are_the_sorted_edge_keys(self):
+        g = Graph(5, [(4, 0), (2, 1), (1, 2), (3, 4)])
+        ea = g.edge_array()
+        assert g._keys.tolist() == (ea[:, 0] * 5 + ea[:, 1]).tolist()
 
 
 class TestEdgeWeights:

@@ -79,6 +79,27 @@ class TestSkillExtendedGraph:
         assert ext_X[ids["ghost"], 0] == 0.0
 
 
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=40)
+    def test_edges_and_profiles_match_a_pairwise_build(self, seed):
+        rng = np.random.default_rng(seed)
+        g, X = random_graph_and_profiles(rng, 1, 12, m_attrs=2, connected=False)
+        n = g.node_count
+        holders = tuple(frozenset(rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                             replace=False).tolist())
+                        for _ in range(int(rng.integers(0, 4))))
+        skills = SkillMap(tuple(f"s{k}" for k in range(len(holders))), holders)
+        ext, ids, ext_X = skill_extended_graph(g, skills, X)
+        pairs = g.edges() + [(h, n + k) for k, hs in enumerate(holders) for h in hs]
+        assert ext.node_count == n + len(holders)
+        assert ext.edges() == sorted(pairs)
+        assert ids == {f"s{k}": n + k for k in range(len(holders))}
+        for k, hs in enumerate(holders):
+            want = X[sorted(hs)].mean(axis=0) if hs else np.zeros(2)
+            assert ext_X[n + k].tolist() == want.tolist()
+        assert ext_X[:n].tolist() == X.tolist()
+
+
 # -- the two-step reduction -------------------------------------------------------
 
 class TestFormTeam:
@@ -137,6 +158,38 @@ class TestFormTeam:
         solver = community_solver("tree", "hops")
         team = form_team(g, X, skills, ["a", "b", "c"], solver)
         assert {0, 3, 5} <= team.step1_individuals
+
+    @given(st.integers(0, 100_000), st.sampled_from(["l2", "l1", "max"]), st.booleans())
+    @settings(max_examples=40)
+    def test_weights_are_those_of_the_zeroed_overlay(self, seed, norm, given_weights):
+        # step 1 weighs the extended graph exactly as proxy weights on it with
+        # the skill edges zeroed; step 2 uses the base proxy weights or the
+        # caller's
+        rng = np.random.default_rng(seed)
+        g, X = random_graph_and_profiles(rng, 2, 14, m_attrs=3)
+        entries = [(int(h), f"s{k}", 4) for k in range(3)
+                   for h in rng.choice(g.node_count, size=2, replace=False)]
+        skills = SkillMap.from_counts(g.node_count, entries)
+        weights = proxy_weights(g, rng.random((g.node_count, 3))) if given_weights else None
+        calls = []
+        inner = community_solver("tree", "weights")
+
+        def solver(graph, latent, seeds, w):
+            calls.append((graph, latent, w))
+            return inner(graph, latent, seeds, w)
+
+        form_team(g, X, skills, ["s0", "s1", "s2"], solver, weights=weights,
+                  weight_norm=norm)
+        (ext, ext_X, w1), (base, _, w2) = calls
+        ea = ext.edge_array()
+        want = proxy_weights(ext, ext_X, norm).with_zeroed(ea[ea[:, 1] >= g.node_count])
+        assert w1.graph is ext
+        assert w1.values.tobytes() == want.values.tobytes()
+        assert base is g
+        if given_weights:
+            assert w2 is weights
+        else:
+            assert w2.values.tobytes() == proxy_weights(g, X, norm).values.tobytes()
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=40)
