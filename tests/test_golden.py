@@ -1,12 +1,15 @@
 """Golden corpus: the answers of the current code, pinned.
 
-Two fixtures:
+Three fixtures:
 
 * the README ring session, run through ``main(argv)`` with ``--no-timing``
   for ``comm``, ``team`` and ``cardinality``; the CSVs are committed;
 * the planted-community graph of ``test_07``, built exactly as that test
   builds it, with three distinct sampled seed sets; each of the five
-  variants is called through the library.
+  variants is called through the library;
+* a seeded 500-node / 1 750-edge ``gnm`` graph with 4-column uniform
+  profiles, answered by ``greedy_fixed_size`` from every start for k = 1..12
+  and from 32 sampled starts for k = 5 and 20.
 
 Ids, counts, node lists and status strings must match exactly, metric
 floats to a relative tolerance of 1e-8.  A change that means to change
@@ -22,12 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from tensionkit import (community_solver, generate_profiles, induced_subgraph,
-                        largest_component, proxy_weights, sample_seed_groups,
-                        standardized_metrics)
+from tensionkit import (community_solver, generate_profiles, greedy_fixed_size,
+                        induced_subgraph, largest_component, proxy_weights,
+                        sample_seed_groups, standardized_metrics)
 from tensionkit.cli import main
 from tensionkit.rng import derive_seed
-from tensionkit.synthetic import block_incidence, planted_partition_graph
+from tensionkit.synthetic import block_incidence, gnm_graph, planted_partition_graph
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-8
@@ -169,6 +172,41 @@ def test_planted_cases_are_distinct():
     assert len(seeds) == 3 and len(set(seeds)) == 3
 
 
+# -- greedy fixed-size teams on a gnm graph ------------------------------------
+
+# (mode, k, keyword arguments): every start, then 32 starts sampled from 500
+CARDINALITY_CASES = [("all", k, {}) for k in range(1, 13)] + [
+    ("sampled", k, {"all_starts_limit": 100, "sampled_starts": 32, "rng_seed": 5})
+    for k in (5, 20)]
+
+
+def cardinality_fixture():
+    """The whole graph (isolated nodes and small components included)."""
+    g = gnm_graph(500, 1750, rng_seed=17)
+    return g, generate_profiles(g.node_count, 4, "uniform", rng_seed=19)
+
+
+def solve_cardinality(g, X) -> list[dict]:
+    cases = []
+    for mode, k, kwargs in CARDINALITY_CASES:
+        sol = greedy_fixed_size(g, X, k, **kwargs)
+        cases.append({"mode": mode, "k": k, "nodes": sol.sorted_nodes(),
+                      "edges_induced": sol.edges_induced, "tension": sol.tension})
+    return cases
+
+
+def test_cardinality_matches_corpus():
+    got = solve_cardinality(*cardinality_fixture())
+    want = json.loads((GOLDEN / "cardinality_gnm.json").read_text())["cases"]
+    assert len(got) == len(want)
+    for have, case in zip(got, want):
+        where = (case["mode"], case["k"])
+        assert (have["mode"], have["k"]) == where
+        assert have["nodes"] == case["nodes"], where
+        assert have["edges_induced"] == case["edges_induced"], where
+        assert have["tension"] == pytest.approx(case["tension"], rel=REL), where
+
+
 # -- regeneration --------------------------------------------------------------
 
 def regenerate() -> None:
@@ -182,6 +220,8 @@ def regenerate() -> None:
               "variants": solve_case(g, X, weights, label, index, seeds)}
              for label, index, seeds in pick_cases(groups)]
     (GOLDEN / "planted.json").write_text(json.dumps({"cases": cases}, indent=1) + "\n")
+    cases = solve_cardinality(*cardinality_fixture())
+    (GOLDEN / "cardinality_gnm.json").write_text(json.dumps({"cases": cases}, indent=1) + "\n")
 
 
 if __name__ == "__main__":
