@@ -5,8 +5,9 @@ machinery: connectivity is re-derived from raw edge lists, equilibria from a
 dense linear solve, shortest-path distances from a pure-Python heap Dijkstra
 and BFS, so the tests cross-check two independent routes.  The reference
 peel keeps the package's scoring but asks a full breadth-first search after
-every pick, and the reference graph is the list-of-lists construction that
-the CSR ``Graph`` replaced.
+every pick, the reference graph is the list-of-lists construction that
+the CSR ``Graph`` replaced, and the reference greedy growth runs one Python
+heap per start.
 """
 
 from __future__ import annotations
@@ -307,6 +308,34 @@ def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",
 
     return evaluate_solution(g, latent, set(kept) | seed_set,
                              algorithm_tag=f"peel-{variant}")
+
+
+def reference_greedy_sets(g: Graph, weights, k: int, starts) -> np.ndarray:
+    """The sets ``greedy_fixed_size`` scores, grown as before the lockstep
+    growth: one heap per start over ``weighted_adjacency()`` tuples, stale
+    entries skipped.  Returns the distinct grown sets as ascending node
+    tuples in lexicographic order, one row each (empty when none grew)."""
+    wadj = weights.weighted_adjacency()
+    grown: set[frozenset[int]] = set()
+    for start in starts:
+        members = {start}
+        delta: dict[int, float] = {}
+        heap: list[tuple[float, int]] = []
+        for u, w in wadj[start]:
+            delta[u] = w * w
+            heapq.heappush(heap, (delta[u], u))
+        while len(members) < k and heap:
+            d, u = heapq.heappop(heap)
+            if u in members or d != delta[u]:
+                continue  # stale entry; the current one is still queued
+            members.add(u)
+            for x, w in wadj[u]:
+                if x not in members:
+                    delta[x] = delta.get(x, 0.0) + w * w
+                    heapq.heappush(heap, (delta[x], x))
+        if len(members) == k:
+            grown.add(frozenset(members))
+    return np.array(sorted(tuple(sorted(nodes)) for nodes in grown), dtype=np.int64)
 
 
 class OracleUnionFind:

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensionkit import (Graph, InfeasibleError, InputError, SkillMap,
-                        community_solver, conformation, evaluate_solution,
-                        form_team, greedy_fixed_size, proxy_weights,
+from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
+                        SkillMap, community_solver, conformation,
+                        evaluate_solution, form_team, greedy_fixed_size,
+                        largest_component, proxy_weights,
                         skill_extended_graph, teams)
 from tensionkit.community import PEEL_VARIANTS, TREE_VARIANTS
 
 from conftest import (oracle_is_connected, oracle_tension,
-                      random_graph_and_profiles)
+                      random_graph_and_profiles, reference_greedy_sets)
 
 ALL_SOLVERS = [("tree", v) for v in TREE_VARIANTS] + [("peel", v) for v in PEEL_VARIANTS]
 
@@ -253,6 +254,12 @@ class TestGreedyFixedSize:
         b = greedy_fixed_size(g, X, 5, rng_seed=2, all_starts_limit=10, sampled_starts=4)
         assert a.nodes == b.nodes
 
+    @pytest.mark.parametrize("sampled", [0, -3])
+    def test_sampled_starts_below_one_rejected(self, sampled):
+        g, X = random_graph_and_profiles(np.random.default_rng(9), 30, 30)
+        with pytest.raises(InputError, match="sampled_starts"):
+            greedy_fixed_size(g, X, 5, all_starts_limit=10, sampled_starts=sampled)
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=40)
     def test_exact_size_and_connected(self, seed):
@@ -267,27 +274,166 @@ class TestGreedyFixedSize:
             rel=1e-7, abs=1e-10)
 
 
+def capture_scored_sets(monkeypatch, score: bool = True) -> list[np.ndarray]:
+    """Record every array of sets ``greedy_fixed_size`` hands to the scorer;
+    with ``score=False`` the sets are not scored (all tensions 0)."""
+    batches = []
+    real = teams.equilibrium_tensions
+
+    def capture(g, latent, sets, **kw):
+        batches.append(np.asarray(sets))
+        if score:
+            return real(g, latent, sets, **kw)
+        return np.zeros(len(sets)), np.zeros(len(sets), dtype=np.int64)
+
+    monkeypatch.setattr(teams, "equilibrium_tensions", capture)
+    return batches
+
+
+def reference_starts(n: int, rng_seed: int = 0, all_starts_limit: int = 500,
+                     sampled_starts: int = 32):
+    """The starts ``greedy_fixed_size`` documents: every node, or a seeded
+    sample of ``sampled_starts``."""
+    if n <= all_starts_limit:
+        return range(n)
+    rng = np.random.default_rng(rng_seed)
+    return rng.choice(n, size=min(sampled_starts, n), replace=False).tolist()
+
+
+def assert_grows_like_reference(g, X, k, weights=None, **kwargs):
+    """The sets ``greedy_fixed_size`` scores are, to the last row, those of
+    the per-start heap loop (``reference_greedy_sets``)."""
+    weights = proxy_weights(g, X) if weights is None else weights
+    want = reference_greedy_sets(g, weights, k, reference_starts(g.node_count, **kwargs))
+    with pytest.MonkeyPatch.context() as mp:
+        batches = capture_scored_sets(mp, score=False)
+        if not len(want):
+            with pytest.raises(InfeasibleError, match="no start grew"):
+                greedy_fixed_size(g, X, k, weights=weights, **kwargs)
+            return
+        greedy_fixed_size(g, X, k, weights=weights, **kwargs)
+    (got,) = batches
+    assert np.array_equal(got, want), k
+
+
+def shuffled_components(rng, sizes, extra_p=0.3):
+    """Connected random components of the given sizes, ids interleaved."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    edges, offset = [], 0
+    for size in sizes:
+        ids = perm[offset:offset + size]
+        for v in range(1, size):
+            edges.append((ids[int(rng.integers(0, v))], ids[v]))
+        for u in range(size):
+            for v in range(u + 1, size):
+                if rng.random() < extra_p:
+                    edges.append((ids[u], ids[v]))
+        offset += size
+    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+class TestLockstepGrowthMatchesReference:
+    """The lockstep growth scores exactly the sets of the per-start heap
+    loop it replaced: same picks, same tie rule, same drop-outs."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=30)
+    def test_several_components_every_k(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [int(x) for x in rng.integers(1, 12, int(rng.integers(2, 5)))]
+        g = shuffled_components(rng, sizes, extra_p=float(rng.uniform(0.05, 0.5)))
+        X = rng.random((g.node_count, int(rng.integers(1, 4))))
+        for k in range(1, max(sizes) + 1):
+            assert_grows_like_reference(g, X, k)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=30)
+    def test_integer_profiles_tie_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        g, _ = random_graph_and_profiles(rng, 2, 24, extra_p=float(rng.uniform(0.05, 0.4)))
+        X = rng.integers(0, 3, (g.node_count, int(rng.integers(1, 3)))).astype(float)
+        for k in range(1, g.node_count + 1):
+            assert_grows_like_reference(g, X, k)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=30)
+    def test_sampled_starts(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [int(x) for x in rng.integers(1, 16, int(rng.integers(1, 4)))]
+        g = shuffled_components(rng, sizes)
+        X = rng.integers(0, 4, (g.node_count, 2)).astype(float)
+        kwargs = {"all_starts_limit": int(rng.integers(0, g.node_count)),
+                  "sampled_starts": int(rng.integers(1, g.node_count + 3)),
+                  "rng_seed": int(rng.integers(0, 1000))}
+        for k in range(1, max(sizes) + 1):
+            assert_grows_like_reference(g, X, k, **kwargs)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=20)
+    def test_star_hub_spans_several_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 60))
+        hub = int(rng.integers(0, n))
+        edges = [(hub, v) for v in range(n) if v != hub]
+        edges += [(int(u), int(v)) for u, v in rng.integers(0, n, (n // 4, 2)) if u != v]
+        g = Graph(n, edges)
+        X = rng.integers(0, 3, (n, 1)).astype(float) if seed % 2 else rng.random((n, 2))
+        for k in range(1, n + 1, 3):
+            assert_grows_like_reference(g, X, k)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=20)
+    def test_overflowing_increments_tie_by_id(self, seed):
+        # max-norm weights near 1e200 are finite, their squares are inf
+        rng = np.random.default_rng(seed)
+        g, _ = random_graph_and_profiles(rng, 2, 20)
+        X = rng.integers(0, 3, (g.node_count, 2)) * 1e200
+        weights = proxy_weights(g, X, "max")
+        assert weights.values.max() > 1e155  # so some w * w is inf
+        for k in range(1, g.node_count + 1):
+            assert_grows_like_reference(g, X, k, weights=weights)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=15)
+    def test_starts_split_into_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        g = shuffled_components(rng, [int(x) for x in rng.integers(1, 14, 3)])
+        X = rng.integers(0, 3, (g.node_count, 2)).astype(float)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(teams, "GROWTH_ELEMENTS", g.node_count * int(rng.integers(1, 4)))
+            for k in range(1, 8):
+                if k <= len(largest_component(g)):
+                    assert_grows_like_reference(g, X, k)
+
+    def test_increments_accumulate_in_pick_order(self):
+        # start 9 reaches x = 5 with w*w = 1 first, then 2**-54 three times
+        # through 1, 2, 3: 1.0 in pick order, 1 + 2**-52 in ascending member
+        # order, which would tie with y = 4 (1 + 2**-52) and lose on id
+        eps = 2.0 ** -27  # eps * eps = 2**-54
+        w = {(9, 5): 1.0, (1, 9): 0.0, (2, 9): 0.0, (3, 9): 0.0,
+             (1, 5): eps, (2, 5): eps, (3, 5): eps,
+             (4, 9): 1.0, (1, 4): 2.0 ** -26}
+        g = Graph(10, list(w))
+        weights = EdgeWeights.from_mapping(g, w)
+        X = np.zeros((10, 1))
+        assert_grows_like_reference(g, X, 5, weights=weights)
+        with pytest.MonkeyPatch.context() as mp:
+            batches = capture_scored_sets(mp, score=False)
+            greedy_fixed_size(g, X, 5, weights=weights)
+        assert [1, 2, 3, 5, 9] in batches[0].tolist()
+        assert [1, 2, 3, 4, 9] not in batches[0].tolist()
+
+
 class TestBatchedGreedyScoring:
     """``greedy_fixed_size`` scores its grown sets in one batched call; the
     answer must be the one the per-set path picks from the same sets."""
-
-    @staticmethod
-    def _capture_sets(monkeypatch):
-        batches = []
-        real = teams.equilibrium_tensions
-
-        def capture(g, latent, sets, **kw):
-            batches.append(np.asarray(sets))
-            return real(g, latent, sets, **kw)
-
-        monkeypatch.setattr(teams, "equilibrium_tensions", capture)
-        return batches
 
     @pytest.mark.parametrize("k", range(1, 25))
     def test_matches_best_per_set_evaluation(self, k, monkeypatch):
         g, X = random_graph_and_profiles(np.random.default_rng(21), 24, 24,
                                          m_attrs=3, extra_p=0.15)
-        batches = self._capture_sets(monkeypatch)
+        batches = capture_scored_sets(monkeypatch)
         sol = greedy_fixed_size(g, X, k)
         (sets,) = batches
         scored = [evaluate_solution(g, X, row.tolist()) for row in sets]
@@ -309,7 +455,7 @@ class TestBatchedGreedyScoring:
                                          m_attrs=2, extra_p=0.1)
         k = 6
         whole = greedy_fixed_size(g, X, k)
-        batches = self._capture_sets(monkeypatch)
+        batches = capture_scored_sets(monkeypatch)
         monkeypatch.setattr(conformation, "BATCH_ELEMENTS", 3 * k * k)
         chunked = greedy_fixed_size(g, X, k)
         assert len(batches[0]) > 3  # so the batch ran in more than one chunk
