@@ -30,6 +30,8 @@ a float Dijkstra sets ``dist_w[v]`` to the smallest rounded sum ``dist_w[u]
 + w_uv``, so exactly the edges that realise it are tight, zero-weight
 plateaus and absorbed weights (``d + w == d``) included.  A tolerance would
 admit near-ties that no minimum-weight path uses and change hop counts.
+The path walk obeys the same rule: each step goes to the smallest neighbour
+one hop nearer the target over a tight edge, in hop and weighted mode alike.
 Zero weights are edges, kept as explicit CSR entries.
 """
 
@@ -44,7 +46,6 @@ from scipy.sparse import csgraph
 
 from .errors import InfeasibleError, InputError
 
-_REL_TOL = 1e-9  # slack for float equality in weighted path reconstruction
 MAX_NODES = 2**31 - 1  # csgraph's int32 index limit (see the design notes)
 
 
@@ -120,11 +121,18 @@ class Graph:
         return self._edge_array
 
     def edges_within(self, nodes: Iterable[int]) -> np.ndarray:
-        """Boolean mask over :meth:`edge_array`: both ends in ``nodes``."""
-        keep = np.zeros(self.node_count, dtype=bool)
+        """Ascending positions in :meth:`edge_array` of the edges with both
+        ends in ``nodes``: each member's block of edges to higher ids, found
+        on the sorted keys, filtered by its other end."""
+        n = self.node_count
+        keep = np.zeros(n, dtype=bool)
         keep[np.fromiter(nodes, dtype=np.int64)] = True
-        ea = self.edge_array()
-        return keep[ea[:, 0]] & keep[ea[:, 1]]
+        members = np.flatnonzero(keep)
+        lo, hi = np.searchsorted(self._keys, [members * n, (members + 1) * n])
+        cnt = hi - lo
+        first = np.cumsum(cnt) - cnt
+        pos = np.arange(cnt.sum()) + np.repeat(lo - first, cnt)
+        return pos[keep[self._edge_array[pos, 1]]]
 
     def adjacency_csr(self) -> sp.csr_matrix:
         if self._csr is None:
@@ -214,32 +222,6 @@ def _edge_positions(g: Graph, pairs, what: str) -> np.ndarray:
     return at
 
 
-class DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 # -- subgraphs and components ---------------------------------------------
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -305,11 +287,6 @@ def _as_hops(dist: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
-def bfs_distances(g: Graph, src: int) -> np.ndarray:
-    """Hop distances from ``src`` (-1 where unreachable)."""
-    return _as_hops(_hop_rows(g.adjacency_csr(), src))
-
-
 def hop_distance_matrix(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """Hop distances from each source to every node (inf where unreachable)."""
     return _hop_rows(g.adjacency_csr(), np.asarray(sources, dtype=np.int64).reshape(-1))
@@ -334,31 +311,24 @@ def path_distances(g: Graph, src: int,
     return dw, _as_hops(_hop_rows(T, src))
 
 
-def _reconstruct_path(g: Graph, src: int, dst: int,
-                      dist_w_from_dst: np.ndarray, dist_h_from_dst: np.ndarray,
+def _reconstruct_path(g: Graph, src: int, dst: int, dw: np.ndarray, dh: np.ndarray,
                       weights: EdgeWeights | None) -> list[int]:
     """Lexicographically smallest (weight, hops)-optimal path src -> dst,
-    given distances computed *from dst*."""
-    total_w = dist_w_from_dst[src]
-    total_h = dist_h_from_dst[src]
-    if not math.isfinite(total_w):
+    given the distances ``(dw, dh)`` computed *from dst*: each step takes the
+    smallest neighbour ``v`` one hop nearer ``dst`` over a tight edge,
+    ``dw[v] + w_uv == dw[u]`` exactly (see the module design notes)."""
+    if not math.isfinite(dw[src]):
         raise InfeasibleError(f"disconnected pair: no path from {src} to {dst}")
-    tol = _REL_TOL * max(1.0, abs(total_w))
     adj = g.adjacency_csr() if weights is None else weights.weighted_csr()
     path = [src]
-    cw, ch, u = 0.0, 0, src
+    u = src
     while u != dst:
         lo, hi = adj.indptr[u], adj.indptr[u + 1]
-        nbrs, wts = adj.indices[lo:hi], adj.data[lo:hi]
-        step = dist_h_from_dst[nbrs] == total_h - ch - 1
-        if weights is not None:
-            step &= np.abs(cw + wts + dist_w_from_dst[nbrs] - total_w) <= tol
-        hits = np.flatnonzero(step)  # neighbours ascend, so the first is smallest
+        nbrs = adj.indices[lo:hi]
+        hits = np.flatnonzero((dh[nbrs] == dh[u] - 1) & (dw[nbrs] + adj.data[lo:hi] == dw[u]))
         if not len(hits):  # cannot happen on consistent distance arrays
             raise RuntimeError("shortest-path reconstruction lost the trail")
-        cw += wts[hits[0]]
-        ch += 1
-        u = int(nbrs[hits[0]])
+        u = int(nbrs[hits[0]])  # neighbours ascend, so the first is smallest
         path.append(u)
     return path
 
@@ -395,7 +365,6 @@ def minimum_spanning_tree(nodes: Sequence[int],
         raise InputError("empty node set")
     if len(nodes) == 1:
         return []
-    remap = {v: k for k, v in enumerate(nodes)}
     cand = []
     for ia, a in enumerate(nodes):
         for b in nodes[ia + 1:]:
@@ -403,10 +372,14 @@ def minimum_spanning_tree(nodes: Sequence[int],
             if math.isfinite(w):
                 cand.append((w, a, b))
     cand.sort()
-    ds = DisjointSet(len(nodes))
+    fragment = {v: v for v in nodes}  # each node's fragment label
     tree = []
     for w, a, b in cand:
-        if ds.union(remap[a], remap[b]):
+        fa, fb = fragment[a], fragment[b]
+        if fa != fb:
+            for v in nodes:
+                if fragment[v] == fb:
+                    fragment[v] = fa
             tree.append((a, b))
             if len(tree) == len(nodes) - 1:
                 return tree

@@ -187,10 +187,6 @@ def greedy_fixed_size(g: Graph, latent, k: int,
         raise InputError("team size k must be at least 1")
     if sampled_starts < 1:
         raise InputError("sampled_starts must be at least 1")
-    comp = largest_component(g)
-    if k > len(comp):
-        raise InfeasibleError(
-            f"requested size {k} exceeds the largest component ({len(comp)} nodes)")
     if weights is None:
         weights = proxy_weights(g, latent)
     n = g.node_count
@@ -201,9 +197,15 @@ def greedy_fixed_size(g: Graph, latent, k: int,
         starts = rng.choice(n, size=min(sampled_starts, n), replace=False)
 
     per_batch = max(1, GROWTH_ELEMENTS // n)
-    grown = np.concatenate([_grow(g, weights.values, k, starts[i:i + per_batch])
-                            for i in range(0, len(starts), per_batch)])
-    if not len(grown):
+    grown = np.empty((0, k), np.int64)
+    if k <= n:  # _grow needs k nodes to size its rows
+        grown = np.concatenate([_grow(g, weights.values, k, starts[i:i + per_batch])
+                                for i in range(0, len(starts), per_batch)])
+    if not len(grown):  # only now find the component, to word the error
+        comp = largest_component(g)
+        if k > len(comp):
+            raise InfeasibleError(
+                f"requested size {k} exceeds the largest component ({len(comp)} nodes)")
         raise InfeasibleError("no start grew to the requested size")
     # distinct ascending node tuples in lexicographic order, so argmin
     # breaks tension ties by the smallest

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensionkit import (ConvergenceError, Graph, InputError, conform,
-                        equilibrium_residual, equilibrium_solve, node_tension,
-                        social_tension)
+                        equilibrium_solve, node_tension, social_tension)
 from tensionkit.conformation import (DENSE_LIMIT, default_max_iter,
-                                     equilibrium_tensions)
+                                     equilibrium_residual, equilibrium_tensions)
 
 from conftest import oracle_tension, random_graph_and_profiles
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
-                        evaluate_solution, generate_profiles,
-                        mean_squared_weight, proxy_weights,
-                        sample_seed_groups, seed_tree_edge_count,
-                        standardized_metrics, tree_community)
+                        evaluate_solution, generate_profiles, proxy_weights,
+                        sample_seed_groups, standardized_metrics,
+                        tree_community)
 from tensionkit.evaluation import (_exponential_raw, _power_iteration_svd,
-                                   _top_left_singular_vectors)
+                                   _top_left_singular_vectors,
+                                   mean_squared_weight, seed_tree_edge_count)
 from tensionkit.synthetic import block_incidence
 
 from conftest import random_graph_and_profiles

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
-                        connected_components, induced_subgraph,
-                        largest_component, minimum_spanning_tree,
-                        shortest_path)
-from tensionkit.graph import (MAX_NODES, DisjointSet, bfs_distances,
-                              hop_distance_matrix, path_distances)
+                        induced_subgraph, largest_component, seed_connector)
+from tensionkit.graph import (MAX_NODES, connected_components,
+                              hop_distance_matrix, minimum_spanning_tree,
+                              path_distances, shortest_path)
 
 from conftest import (OracleUnionFind, oracle_is_connected, reference_components,
                       reference_csr, reference_graph, reference_path_distances,
@@ -242,6 +241,7 @@ class TestInducedSubgraph:
         sub, olds = induced_subgraph(g, keep)
         assert olds == keep
         brute = [(u, v) for u, v in g.edges() if u in set(keep) and v in set(keep)]
+        assert [g.edges()[p] for p in g.edges_within(reversed(keep))] == brute
         back = {(olds[u], olds[v]) for u, v in sub.edges()}
         assert back == set(brute)
         assert sub.edge_count == len(brute)
@@ -301,18 +301,6 @@ class TestShortestPaths:
         dist_w, _ = path_distances(g, 0)
         assert np.isinf(dist_w[2])
 
-    @given(graphs(max_nodes=50))
-    @settings(max_examples=60)
-    def test_unit_lengths_match_bfs(self, g):
-        src = g.node_count // 2
-        dist_w, dist_h = path_distances(g, src)
-        bfs = bfs_distances(g, src)
-        for v in range(g.node_count):
-            if bfs[v] < 0:
-                assert np.isinf(dist_w[v])
-            else:
-                assert dist_w[v] == float(bfs[v]) == dist_h[v]
-
     @given(graphs(max_nodes=30, connected=True))
     @settings(max_examples=40)
     def test_weighted_path_is_valid_and_optimal_on_small(self, g):
@@ -344,8 +332,8 @@ _WEIGHT_DRAWS = {
 
 
 @st.composite
-def weighted_graphs(draw, kind):
-    g = draw(graphs(max_nodes=25))
+def weighted_graphs(draw, kind, max_nodes=25):
+    g = draw(graphs(max_nodes=max_nodes))
     values = draw(st.lists(_WEIGHT_DRAWS[kind], min_size=g.edge_count,
                            max_size=g.edge_count))
     return g, EdgeWeights(g, np.array(values, dtype=np.float64))
@@ -383,7 +371,6 @@ class TestDistancesMatchReference:
             ref_w, ref_h = reference_path_distances(g.node_count, g.edges(), src)
             dist_w, dist_h = path_distances(g, src)
             assert np.array_equal(dist_w, ref_w) and np.array_equal(dist_h, ref_h)
-            assert np.array_equal(bfs_distances(g, src), ref_h)
 
     def test_zero_plateau_path_decided_by_hops(self):
         # 0-1-2-3 and 0-4-3 both weigh 0; lexicographic order alone would
@@ -454,13 +441,49 @@ class TestDistancesMatchReference:
         assert path_distances(g, 0, w)[1].max() > 100
 
 
+class TestPathWalkIsTight:
+    """The path walk steps over the exact tight edges that path_distances
+    counts hops over, never over a near-tie."""
+
+    def test_near_tie_four_cycle(self):
+        # 0-1-3 sums to 0.1 + 0.2 = 0.30000000000000004; 0-2-3 to exactly 0.3
+        g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
+        w = EdgeWeights.from_mapping(g, {(0, 1): 0.1, (1, 3): 0.2, (0, 2): 0.3,
+                                         (2, 3): 0.0})
+        assert shortest_path(g, 0, 3, weights=w) == ([0, 2, 3], 0.3)
+        assert seed_connector(g, [0, 3], w) == ({0, 2, 3}, {(0, 2), (2, 3)})
+
+    @pytest.mark.parametrize("kind", ["tenths", "binary", "hops"])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_smallest_tight_walk(self, kind, data):
+        if kind == "hops":
+            g, w = data.draw(graphs(max_nodes=8)), None
+        else:
+            g, w = data.draw(weighted_graphs(kind, max_nodes=8))
+        src = data.draw(st.integers(0, g.node_count - 1))
+        dst = data.draw(st.integers(0, g.node_count - 1))
+        dw, dh = reference_path_distances(g.node_count, g.edges(), dst,
+                                          None if w is None else w.values)
+        if dh[src] < 0:
+            with pytest.raises(InfeasibleError):
+                shortest_path(g, src, dst, weights=w)
+            return
+
+        def tight(u, v):
+            w_uv = 1.0 if w is None else w.get(u, v)
+            return dh[v] == dh[u] - 1 and dw[v] + w_uv == dw[u]
+
+        walks = [p for p in _all_simple_paths(g, src, dst)
+                 if all(tight(u, v) for u, v in zip(p, p[1:]))]
+        assert shortest_path(g, src, dst, weights=w) == (min(walks), dw[src])
+
+
 def _assert_matches_reference(g, src, weights=None):
     ref_w, ref_h = reference_path_distances(
         g.node_count, g.edges(), src, None if weights is None else weights.values)
     dist_w, dist_h = path_distances(g, src, weights)
     assert np.array_equal(dist_w, ref_w) and np.array_equal(dist_h, ref_h)
-    if weights is None:
-        assert np.array_equal(bfs_distances(g, src), ref_h)
 
 
 def _all_simple_paths(g, src, dst):
@@ -518,15 +541,6 @@ def _spans(edge_combo, nodes):
     for a, b in edge_combo:
         uf.union(a, b)
     return len({uf.find(v) for v in nodes}) == 1
-
-
-class TestDisjointSet:
-    def test_union_and_find(self):
-        ds = DisjointSet(4)
-        assert ds.union(0, 1)
-        assert not ds.union(1, 0)
-        assert ds.find(0) == ds.find(1)
-        assert ds.find(2) != ds.find(3)
 
 
 # -- independent-route cross-check -------------------------------------------
