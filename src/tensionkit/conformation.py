@@ -209,7 +209,7 @@ def node_tension(g: Graph, latent, conformed, i: int) -> float:
         raise InputError(f"node id {i} outside the graph")
     internal = float(np.sum((X[i] - F[i]) ** 2))
     social = 0.0
-    for j in g.neighbors(i):
+    for j in g.indices[g.indptr[i]:g.indptr[i + 1]].tolist():
         social += float(np.sum((F[i] - F[j]) ** 2))
     return internal + social
 

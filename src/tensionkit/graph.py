@@ -8,11 +8,11 @@ vectorized pass: the canonical edges ``u < v`` sorted by their keys ``u * n
 ascending in each row, and ``edge_ids``, the edge of each CSR entry, so a
 weight vector becomes CSR data as ``values[edge_ids]``.  Sorted neighbors
 make every traversal, and every tie-break on top of one, deterministic.
-The Python list views (``edges()``, ``neighbors()``, ``weighted_adjacency()``)
-are built on first use, for the loops still in Python: the peel and
-``node_tension``.  scipy copies the index arrays to int32 in each
-``csr_matrix`` it hands to ``csgraph``, hence ``MAX_NODES``, which also keeps
-the keys within int64; below it, a graph still allocates O(node count).
+``_up`` holds where each node's block of edges to higher ids starts in the
+edge order, so ``edges_within`` reads a member's block with no search.
+scipy copies the index arrays to int32 in each ``csr_matrix`` it hands to
+``csgraph``, hence ``MAX_NODES``, which also keeps the keys within int64;
+below it, a graph still allocates O(node count).
 Shortest paths are resolved by the composite key ``(total weight, hop count,
 node sequence)``: among minimum-weight paths the fewest-hop ones win, and
 among those the lexicographically smallest node sequence wins.  The hop
@@ -55,7 +55,7 @@ class Graph:
     collapse into one edge."""
 
     __slots__ = ("node_count", "edge_count", "indptr", "indices", "edge_ids",
-                 "_edge_array", "_keys", "_edges", "_adj", "_csr")
+                 "_edge_array", "_keys", "_up", "_edges", "_csr")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if node_count < 1:
@@ -94,15 +94,11 @@ class Graph:
         self.edge_ids = order % max(m, 1)  # entry k of either half is edge k
         self._edge_array = np.column_stack([lo, hi])
         self._keys = keys
-        self._edges = self._adj = self._csr = None
+        self._up = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(lo, minlength=n), out=self._up[1:])
+        self._edges = self._csr = None
 
     # -- basic accessors -------------------------------------------------
-
-    def neighbors(self, i: int) -> list[int]:
-        if self._adj is None:
-            flat, ptr = self.indices.tolist(), self.indptr.tolist()
-            self._adj = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
-        return self._adj[i]
 
     def degree(self, i: int) -> int:
         return int(self.indptr[i + 1] - self.indptr[i])
@@ -122,13 +118,12 @@ class Graph:
 
     def edges_within(self, nodes: Iterable[int]) -> np.ndarray:
         """Ascending positions in :meth:`edge_array` of the edges with both
-        ends in ``nodes``: each member's block of edges to higher ids, found
-        on the sorted keys, filtered by its other end."""
-        n = self.node_count
-        keep = np.zeros(n, dtype=bool)
+        ends in ``nodes``: each member's block of edges to higher ids,
+        filtered by its other end."""
+        keep = np.zeros(self.node_count, dtype=bool)
         keep[np.fromiter(nodes, dtype=np.int64)] = True
         members = np.flatnonzero(keep)
-        lo, hi = np.searchsorted(self._keys, [members * n, (members + 1) * n])
+        lo, hi = self._up[members], self._up[members + 1]
         cnt = hi - lo
         first = np.cumsum(cnt) - cnt
         pos = np.arange(cnt.sum()) + np.repeat(lo - first, cnt)
@@ -153,7 +148,7 @@ def _symmetric_csr(g: Graph, values: np.ndarray) -> sp.csr_matrix:
 class EdgeWeights:
     """Nonnegative real weights keyed on the unordered edges of one graph."""
 
-    __slots__ = ("graph", "values", "_wadj", "_csr")
+    __slots__ = ("graph", "values", "_csr")
 
     def __init__(self, graph: Graph, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
@@ -165,7 +160,7 @@ class EdgeWeights:
             raise InputError("edge weights must be nonnegative")
         self.graph = graph
         self.values = values
-        self._wadj = self._csr = None
+        self._csr = None
 
     @classmethod
     def from_mapping(cls, graph: Graph, mapping: Mapping[tuple[int, int], float]) -> "EdgeWeights":
@@ -175,16 +170,6 @@ class EdgeWeights:
 
     def get(self, u: int, v: int) -> float:
         return self.values[_edge_positions(self.graph, [(u, v)], "no weight for")[0]]
-
-    def weighted_adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per-node list of (neighbor, weight) with Python floats, neighbors
-        ascending."""
-        if self._wadj is None:
-            g = self.graph
-            flat = list(zip(g.indices.tolist(), self.values[g.edge_ids].tolist()))
-            ptr = g.indptr.tolist()
-            self._wadj = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
-        return self._wadj
 
     def weighted_csr(self) -> sp.csr_matrix:
         """Symmetric weighted adjacency; zero weights stay explicit entries."""

@@ -7,7 +7,8 @@ and BFS, so the tests cross-check two independent routes.  The reference
 peel keeps the package's scoring but asks a full breadth-first search after
 every pick, the reference graph is the list-of-lists construction that
 the CSR ``Graph`` replaced, and the reference greedy growth runs one Python
-heap per start.
+heap per start.  The reference peel and growth loop over Python lists read
+off the CSR arrays (``adjacency_lists``).
 """
 
 from __future__ import annotations
@@ -188,14 +189,15 @@ def reference_csr(n: int, edge_list, values) -> sp.csr_matrix:
                          shape=(n, n))
 
 
-def reference_weighted_adjacency(n: int, edge_list, values):
-    wadj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (u, v), w in zip(edge_list, values):
-        wadj[u].append((v, w))
-        wadj[v].append((u, w))
-    for lst in wadj:
-        lst.sort()
-    return wadj
+def adjacency_lists(g: Graph, weights=None):
+    """Per-node lists read off the CSR arrays, neighbours ascending: the
+    neighbour ids, or with ``weights`` the ``(neighbour, weight)`` pairs with
+    Python floats."""
+    flat = g.indices.tolist()
+    if weights is not None:
+        flat = list(zip(flat, weights.values[g.edge_ids].tolist()))
+    ptr = g.indptr.tolist()
+    return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def reference_components(adj) -> list[list[int]]:
@@ -228,6 +230,7 @@ def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",
     the survivors after every pick.  Takes sorted, distinct, in-range seeds."""
     seed_set = set(seeds)
     n = g.node_count
+    adj = adjacency_lists(g)
 
     def seeds_reachable(alive):
         missing = len(seed_set) - 1
@@ -238,7 +241,7 @@ def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",
         queue = deque([seeds[0]])
         while queue:
             u = queue.popleft()
-            for v in g.neighbors(u):
+            for v in adj[u]:
                 if alive[v] and not seen[v]:
                     seen[v] = True
                     if v in seed_set:
@@ -254,7 +257,7 @@ def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",
     else:
         if weights is None:
             weights = proxy_weights(g, latent)
-        wadj = weights.weighted_adjacency()
+        wadj = adjacency_lists(g, weights)
         if variant == "max":
             by_weight = [sorted(pairs, key=lambda t: -t[1]) for pairs in wadj]
 
@@ -297,7 +300,7 @@ def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",
         pool = survivors
         alive[v] = False
         if seeds_reachable(alive):
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 if alive[u]:
                     deg[u] -= 1
                     if deg[u] == 0 and u not in seed_set:
@@ -312,10 +315,10 @@ def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",
 
 def reference_greedy_sets(g: Graph, weights, k: int, starts) -> np.ndarray:
     """The sets ``greedy_fixed_size`` scores, grown as before the lockstep
-    growth: one heap per start over ``weighted_adjacency()`` tuples, stale
+    growth: one heap per start over ``(neighbour, weight)`` tuples, stale
     entries skipped.  Returns the distinct grown sets as ascending node
     tuples in lexicographic order, one row each (empty when none grew)."""
-    wadj = weights.weighted_adjacency()
+    wadj = adjacency_lists(g, weights)
     grown: set[frozenset[int]] = set()
     for start in starts:
         members = {start}

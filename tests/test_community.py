@@ -13,8 +13,9 @@ from tensionkit import community
 from tensionkit.community import PEEL_VARIANTS, seed_connector
 from tensionkit.conformation import DENSE_LIMIT
 
-from conftest import (oracle_is_connected, oracle_min_tension, oracle_tension,
-                      random_graph_and_profiles, reference_peel_community)
+from conftest import (adjacency_lists, oracle_is_connected, oracle_min_tension,
+                      oracle_tension, random_graph_and_profiles,
+                      reference_peel_community)
 
 
 def _solve(tag, g, X, seeds, seed=0):
@@ -271,6 +272,67 @@ class TestPeelCommunity:
         assert sol.sorted_nodes() == [0, 1, 2]
 
 
+# -- exact peel scores ----------------------------------------------------------
+
+def _two_routes(n, weights):
+    """Seeds 0 and 1 joined through node 2 and through one more node, on the
+    edges of ``weights`` over ``n`` nodes: whichever route node the peel
+    picks first goes and the other is kept, so the answer shows which of the
+    two scored higher."""
+    g = Graph(n, list(weights))
+    return g, EdgeWeights(g, [weights[e] for e in g.edges()])
+
+
+def _peel_matches_reference(g, weights, variant, want):
+    X = np.zeros((g.node_count, 1))
+    sol = peel_community(g, X, [0, 1], variant=variant, weights=weights)
+    assert sol.sorted_nodes() == want
+    assert sol.nodes == reference_peel_community(g, X, [0, 1], variant=variant,
+                                                 weights=weights).nodes
+
+
+class TestPeelScoresAreExact:
+    @pytest.mark.parametrize("lead", [False, True])
+    def test_sum_adds_in_ascending_neighbour_order(self, lead):
+        # node 3 sums 0.1 + 0.2 + 0.3 = 0.6000000000000001 in neighbour order
+        # and beats node 2's 0.6; summed the other way round it would tie,
+        # and node 2 would go.  With ``lead``, leaf 5 goes first, so the
+        # sums are recomputed before nodes 2 and 3 compare.
+        weights = {(0, 2): 0.6, (1, 2): 0.0, (0, 3): 0.1, (1, 3): 0.2, (3, 4): 0.3}
+        if lead:
+            weights[(0, 5)] = 5.0
+        g, w = _two_routes(5 + lead, weights)
+        assert 0.1 + 0.2 + 0.3 > 0.6 and 0.3 + 0.2 + 0.1 == 0.6
+        _peel_matches_reference(g, w, "sum", [0, 1, 2])
+
+    def test_sum_is_recomputed_not_decremented(self):
+        # node 4's 0.25 + 0.25 is absorbed by its 1e17 edge to node 3; once
+        # node 3 goes, node 4 sums 0.5 and beats node 2's 0.3, while
+        # subtracting 1e17 from the absorbed total would leave 0.0
+        g, w = _two_routes(5, {
+            (0, 2): 0.3, (1, 2): 0.0, (0, 4): 0.25, (1, 4): 0.25, (3, 4): 1e17})
+        assert (0.25 + 0.25 + 1e17) - 1e17 == 0.0
+        _peel_matches_reference(g, w, "sum", [0, 1, 2])
+
+    def test_max_moves_past_a_removed_neighbour(self):
+        # node 3 goes first (0.9, tied with node 4, lowest id); node 4's max
+        # then falls to its tied 0.5 edges, below node 2's 0.7, so node 2
+        # goes before node 4; zero-weight tail 5-6 and isolated node 7 score
+        # 0.0
+        g, w = _two_routes(8, {
+            (0, 2): 0.7, (1, 2): 0.0, (0, 4): 0.5, (1, 4): 0.5, (3, 4): 0.9,
+            (4, 5): 0.0, (5, 6): 0.0})
+        _peel_matches_reference(g, w, "max", [0, 1, 4])
+
+    @pytest.mark.parametrize("variant", ["sum", "max"])
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_ties_go_to_the_lowest_id(self, variant, weight):
+        # nodes 2 and 3 score the same, so node 2 goes and node 3 is kept
+        g, w = _two_routes(4, {
+            (0, 2): weight, (1, 2): weight, (0, 3): weight, (1, 3): weight})
+        _peel_matches_reference(g, w, variant, [0, 1, 3])
+
+
 # -- the witness of seed connectivity ---------------------------------------------
 
 PEEL_FAMILIES = ("components", "single-seed", "all-seeds", "path", "tree", "tied-weights")
@@ -344,11 +406,12 @@ class TestSeedWitness:
         witness = community._seeds_reachable(g, alive, min(seeds), seeds)
         # the seeds share a component of the survivors exactly when some
         # connected set of survivors holds them all
+        adj = adjacency_lists(g)
         component = {min(seeds)}
         frontier = [min(seeds)]
         while frontier:
             u = frontier.pop()
-            for v in g.neighbors(u):
+            for v in adj[u]:
                 if alive[v] and v not in component:
                     component.add(v)
                     frontier.append(v)
@@ -364,6 +427,12 @@ class TestSeedWitness:
         assert community._seeds_reachable(g, [True, True, False, True], 0, {0, 3}) is None
         assert community._seeds_reachable(g, [True] * 4, 0, {0, 3}) == {0, 1, 2, 3}
         assert community._seeds_reachable(g, [True, False, False, False], 0, {0}) == {0}
+
+    def test_alive_flags_may_be_an_array(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
+        for alive in ([True, True, False, True, True], [True, False, True, True, False]):
+            assert (community._seeds_reachable(g, np.array(alive), 0, {0, 3})
+                    == community._seeds_reachable(g, alive, 0, {0, 3}))
 
     def test_most_picks_skip_the_search(self, monkeypatch):
         # every non-seed hangs off a seed, so nothing is ever pruned and each

@@ -211,7 +211,7 @@ class TestProperties:
         F = conform(g, X, tol=1e-11).conformed
         eps = 1e-4
         for i in range(g.node_count):
-            nbrs = g.neighbors(i)
+            nbrs = g.indices[g.indptr[i]:g.indptr[i + 1]]
             grad = 2 * (F[i] - X[i]) + 2 * sum((F[i] - F[j]) for j in nbrs)
             assert np.max(np.abs(grad)) < 1e-6
             base = node_tension(g, X, F, i)

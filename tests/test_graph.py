@@ -12,10 +12,11 @@ from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
 from tensionkit.graph import (MAX_NODES, connected_components,
                               hop_distance_matrix, minimum_spanning_tree,
                               path_distances, shortest_path)
+from tensionkit.synthetic import gnm_graph
 
-from conftest import (OracleUnionFind, oracle_is_connected, reference_components,
-                      reference_csr, reference_graph, reference_path_distances,
-                      reference_weighted_adjacency)
+from conftest import (OracleUnionFind, adjacency_lists, oracle_is_connected,
+                      reference_components, reference_csr, reference_graph,
+                      reference_path_distances)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -46,7 +47,7 @@ class TestGraphConstruction:
 
     def test_neighbors_sorted(self):
         g = Graph(5, [(0, 4), (0, 2), (0, 1)])
-        assert g.neighbors(0) == [1, 2, 4]
+        assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [1, 2, 4]
         assert g.degree(0) == 3 and g.degree(3) == 0
 
     def test_self_loop_rejected(self):
@@ -63,7 +64,7 @@ class TestGraphConstruction:
 
     def test_single_node_no_edges(self):
         g = Graph(1, [])
-        assert g.edge_count == 0 and g.neighbors(0) == []
+        assert g.edge_count == 0 and g.degree(0) == 0
 
     def test_degrees_and_edge_array(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -98,9 +99,8 @@ class TestMatchesReferenceConstruction:
         g = Graph(n, arg)
         assert g.edges() == ref_edges and g.edge_count == len(ref_edges)
         assert g.edge_array().tolist() == [list(e) for e in ref_edges]
+        assert adjacency_lists(g) == ref_adj
         for i in range(n):
-            assert g.neighbors(i) == ref_adj[i]
-            assert all(type(j) is int for j in g.neighbors(i))
             assert g.degree(i) == len(ref_adj[i])
         assert g.degrees().tolist() == [len(a) for a in ref_adj]
 
@@ -114,8 +114,6 @@ class TestMatchesReferenceConstruction:
             assert got.indptr.tolist() == want.indptr.tolist()
             assert got.indices.tolist() == want.indices.tolist()
             assert got.data.tolist() == want.data.tolist()  # explicit zeros kept
-        assert w.weighted_adjacency() == reference_weighted_adjacency(n, ref_edges, values)
-        assert all(type(x) is float for row in w.weighted_adjacency() for _, x in row)
 
         comps = reference_components(ref_adj)
         assert connected_components(g) == comps
@@ -128,7 +126,7 @@ class TestMatchesReferenceConstruction:
         ref_sub, ref_sub_adj = reference_graph(len(olds), [
             (new[u], new[v]) for u, v in ref_edges if u in new and v in new])
         assert sub.edges() == ref_sub
-        assert [sub.neighbors(i) for i in range(len(olds))] == ref_sub_adj
+        assert adjacency_lists(sub) == ref_sub_adj
 
     @pytest.mark.parametrize("n,pairs", [
         (3, [(0, 1), (3, 1), (2, 2)]),   # out of range comes first
@@ -187,13 +185,6 @@ class TestEdgeWeights:
         with pytest.raises(InputError, match=r"no weight for non-edge \(0, 2\)"):
             w.get(2, 0)
 
-    def test_weighted_adjacency_symmetric(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        w = EdgeWeights(g, np.array([0.25, 0.75]))
-        wadj = w.weighted_adjacency()
-        assert (1, 0.25) in wadj[0] and (0, 0.25) in wadj[1]
-        assert (2, 0.75) in wadj[1] and (1, 0.75) in wadj[2]
-
     def test_with_zeroed(self):
         g = Graph(3, [(0, 1), (1, 2)])
         w = EdgeWeights(g, np.array([0.25, 0.75]))
@@ -245,6 +236,19 @@ class TestInducedSubgraph:
         back = {(olds[u], olds[v]) for u, v in sub.edges()}
         assert back == set(brute)
         assert sub.edge_count == len(brute)
+
+    def test_edges_within_matches_the_edge_mask(self):
+        # a set that is most of the graph and a small scattered one, against
+        # the mask over every edge that edges_within replaced
+        g = gnm_graph(3000, 9000, rng_seed=4)
+        ea = g.edge_array()
+        rng = np.random.default_rng(4)
+        for nodes in (largest_component(g), rng.choice(3000, 60, replace=False)):
+            keep = np.zeros(g.node_count, dtype=bool)
+            keep[nodes] = True
+            want = np.flatnonzero(keep[ea[:, 0]] & keep[ea[:, 1]])
+            assert np.array_equal(g.edges_within(nodes), want)
+            assert len(want)
 
 
 # -- connectivity -------------------------------------------------------------
@@ -487,13 +491,14 @@ def _assert_matches_reference(g, src, weights=None):
 
 
 def _all_simple_paths(g, src, dst):
+    adj = adjacency_lists(g)
     stack = [(src, [src])]
     while stack:
         u, path = stack.pop()
         if u == dst:
             yield path
             continue
-        for v in g.neighbors(u):
+        for v in adj[u]:
             if v not in path:
                 stack.append((v, path + [v]))
 

@@ -56,7 +56,7 @@ class TestSkillExtendedGraph:
         ext, ids, ext_X = skill_extended_graph(g, skills, np.zeros((4, 1)))
         s = ids["db"]
         assert s == 4
-        assert ext.neighbors(s) == [3]
+        assert ext.indices[ext.indptr[s]:ext.indptr[s + 1]].tolist() == [3]
 
     def test_two_holders_degree_two(self):
         g = Graph(3, [(0, 1), (1, 2)])
