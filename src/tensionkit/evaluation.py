@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .community import Solution, seed_connector
 from .errors import InfeasibleError, InputError
-from .graph import EdgeWeights, Graph, hop_distance_matrix, largest_component
+from .graph import EdgeWeights, Graph, largest_component, pair_hop_distances
 
 PROFILE_SCHEMES = ("uniform", "exponential", "thresholded", "eigenvector")
 
@@ -104,12 +104,19 @@ def sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 1000,
     Candidates are uniform ``set_size``-subsets of the largest component.
     Their maximum pairwise hop distances define the 10-33 / 33-66 / 66-90
     percentile bands; the first ``per_group`` candidates falling in each
-    band become groups D1, D2 and D3.
+    band become groups D1, D2 and D3.  The spreads come from
+    :func:`~tensionkit.graph.pair_hop_distances` on each candidate's member
+    pairs ``i < j``: a bit-parallel BFS from the members whose arrays stay
+    within ``graph.PAIR_ELEMENTS`` words (32 MB) at any candidate count,
+    and which finishes pairs deeper than 64 levels with one BFS per source
+    (see the ``graph`` design notes).
     """
     if set_size < 1:
         raise InputError("seed set size must be at least 1")
     if n_candidates < 1:
         raise InputError("need at least one candidate seed set")
+    if per_group < 0:
+        raise InputError(f"sets per group must be nonnegative, not {per_group}")
     comp = largest_component(g)
     if set_size > len(comp):
         raise InfeasibleError(
@@ -120,9 +127,11 @@ def sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 1000,
                                                    replace=False)].tolist()))
                   for _ in range(n_candidates)]
     cand = np.array(candidates, dtype=np.int64)
-    used, row = np.unique(cand, return_inverse=True)
-    dist = hop_distance_matrix(g, used)
-    spreads = dist[row.reshape(cand.shape)[:, :, None], cand[:, None, :]].max(axis=(1, 2))
+    i, j = np.triu_indices(set_size, 1)
+    spreads = np.zeros(n_candidates)
+    if len(i):  # a singleton set spreads 0
+        spreads = pair_hop_distances(g, cand[:, i], cand[:, j]).reshape(
+            n_candidates, -1).max(axis=1)
     p10, p33, p66, p90 = np.percentile(spreads, [10, 33, 66, 90])
     bounds = [("D1", p10, p33), ("D2", p33, p66), ("D3", p66, p90)]
     groups = []

@@ -18,12 +18,29 @@ node sequence)``: among minimum-weight paths the fewest-hop ones win, and
 among those the lexicographically smallest node sequence wins.  The hop
 component is what keeps reconstruction well-defined on zero-weight plateaus.
 
-Distances come from ``scipy.sparse.csgraph``.  Every hop search is
+Distances come from ``scipy.sparse.csgraph``.  Every full-row hop search is
 ``_hop_rows``: a ``breadth_first_order`` per source, whose levels follow
 from the order and the BFS parents by pointer jumping in O(k log depth) for
 k reachable nodes.  On a 2-core x86-64 that beats a unit-weight Dijkstra on
 a 20 k-node random graph (2.1 vs 6.4 ms a source) and loses on a 200 k-node
 path (25 vs 8 ms), a bounded factor.
+``pair_hop_distances`` answers a list of ``(source, target)`` pairs, as seed
+sampling needs, without a row per source: a multi-source BFS with one bit
+per source (Then et al., VLDB 2014).  A batch of ``64 * words`` sources
+keeps ``seen``, an ``(n, words)`` uint64 array, and a frontier of nodes
+with the words they gained at the last level.  A level expands the frontier
+rows over the CSR arrays, ORs the words arriving at each neighbour, masks
+them with ``~seen`` and keeps the nonzero rows; a pair resolves at the
+level where its target's row gains its source's bit.  ``words`` is sized
+so that ``seen`` and the expanded rows hold at most ``PAIR_ELEMENTS`` words
+(32 MB; one word per node or CSR entry on larger graphs).  A level costs
+the frontier's CSR entries times ``words`` plus the pairs of the targets it
+reaches, never n or the pair count.  On a deep graph the words would be
+expanded once per level, about n * depth * S / 64 word operations for S
+sources, so after ``FINISH_DEPTH`` (64) levels a batch finishes its
+pending pairs with ``_hop_rows`` per source, in matrices of at most
+``PAIR_ELEMENTS`` entries (one row on larger graphs).  The 64 levels before
+cost at most 2E word operations per source, about one BFS each.
 Weights come from ``dijkstra``, then hops from a BFS over the *tight* edges
 ``u -> v`` with ``dist_w[u] + w_uv == dist_w[v]``.  The equality is exact:
 a float Dijkstra sets ``dist_w[v]`` to the smallest rounded sum ``dist_w[u]
@@ -47,6 +64,8 @@ from scipy.sparse import csgraph
 from .errors import InfeasibleError, InputError
 
 MAX_NODES = 2**31 - 1  # csgraph's int32 index limit (see the design notes)
+PAIR_ELEMENTS = 1 << 22  # cap on nodes (or CSR entries) x source words in one batch
+FINISH_DEPTH = 64  # levels a pair batch runs before its pending pairs go per source
 
 
 class Graph:
@@ -123,10 +142,7 @@ class Graph:
         keep = np.zeros(self.node_count, dtype=bool)
         keep[np.fromiter(nodes, dtype=np.int64)] = True
         members = np.flatnonzero(keep)
-        lo, hi = self._up[members], self._up[members + 1]
-        cnt = hi - lo
-        first = np.cumsum(cnt) - cnt
-        pos = np.arange(cnt.sum()) + np.repeat(lo - first, cnt)
+        pos = _ranges(self._up[members], self._up[members + 1])
         return pos[keep[self._edge_array[pos, 1]]]
 
     def adjacency_csr(self) -> sp.csr_matrix:
@@ -136,6 +152,13 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[i]:hi[i]`` concatenated, without a Python loop."""
+    cnt = hi - lo
+    first = cnt.cumsum() - cnt
+    return np.arange(cnt.sum()) + (lo - first).repeat(cnt)
 
 
 def _symmetric_csr(g: Graph, values: np.ndarray) -> sp.csr_matrix:
@@ -275,6 +298,86 @@ def _as_hops(dist: np.ndarray) -> np.ndarray:
 def hop_distance_matrix(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """Hop distances from each source to every node (inf where unreachable)."""
     return _hop_rows(g.adjacency_csr(), np.asarray(sources, dtype=np.int64).reshape(-1))
+
+
+def pair_hop_distances(g: Graph, sources, targets) -> np.ndarray:
+    """Hop distance of each pair ``(sources[k], targets[k])`` (inf where
+    unreachable): one breadth-first search from many sources at once, a bit
+    per source, in batches of at most ``64 * words`` sources (see the design
+    notes)."""
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    dst = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if src.shape != dst.shape:
+        raise InputError("pair distances need as many targets as sources")
+    n = g.node_count
+    if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise InputError("pair endpoints outside the graph")
+    out = np.where(src == dst, 0.0, np.inf)
+    todo = np.flatnonzero(src != dst)
+    used, col = np.unique(src[todo], return_inverse=True)
+    by_src = np.argsort(col, kind="stable")  # batches of sources are slices
+    todo, col = todo[by_src], col[by_src]
+    per_batch = 64 * max(1, PAIR_ELEMENTS // max(n, len(g.indices)))
+    for b in range(0, len(used), per_batch):
+        a, z = np.searchsorted(col, [b, b + per_batch])
+        out[todo[a:z]] = _bit_bfs(g, used[b:b + per_batch], col[a:z] - b, dst[todo[a:z]])
+    return out
+
+
+def _bit_bfs(g: Graph, sources: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Hop distances from ``sources[q[k]]`` to ``t[k]`` (distinct ends) over
+    the CSR arrays: bit ``j`` of a node's row of words marks source ``j``,
+    and a pair resolves at the level where its target's row gains its bit."""
+    n, words = g.node_count, -(-len(sources) // 64)
+    indptr, indices = g.indptr, g.indices
+    dist = np.full(len(q), np.inf)
+    by_t = np.argsort(t, kind="stable")  # a node's pairs are one slice of ts
+    ts, word = t[by_t], q[by_t] >> 6
+    bit = np.left_shift(np.uint64(1), (q[by_t] & 63).astype(np.uint64))
+    k = np.arange(len(sources))
+    front = sources  # ascending and distinct
+    fw = np.zeros((len(sources), words), dtype=np.uint64)
+    fw[k, k >> 6] = np.left_shift(np.uint64(1), (k & 63).astype(np.uint64))
+    seen = np.zeros((n, words), dtype=np.uint64)
+    seen[front] = fw
+    pending, level = len(q), 0
+    while pending and len(front):
+        if level == FINISH_DEPTH:  # deep: finish the rest one source at a time
+            left = np.flatnonzero(np.isinf(dist))
+            left = left[np.argsort(q[left], kind="stable")]
+            rows, row_of = np.unique(q[left], return_inverse=True)
+            step = max(1, PAIR_ELEMENTS // n)
+            for c in range(0, len(rows), step):
+                a, z = np.searchsorted(row_of, [c, c + step])
+                d = hop_distance_matrix(g, sources[rows[c:c + step]])
+                dist[left[a:z]] = d[row_of[a:z] - c, t[left[a:z]]]
+            break
+        level += 1
+        # the frontier's CSR rows, their words OR-combined per neighbour
+        lo, hi = indptr[front], indptr[front + 1]
+        nbr = indices[_ranges(lo, hi)]
+        if not len(nbr):
+            break
+        order = nbr.argsort()
+        nbr = nbr[order]
+        head = np.empty(len(nbr), dtype=bool)
+        head[0] = True
+        np.not_equal(nbr[1:], nbr[:-1], out=head[1:])
+        head = head.nonzero()[0]
+        node = nbr[head]
+        new = np.bitwise_or.reduceat(fw[np.arange(len(front)).repeat(hi - lo)[order]],
+                                     head, axis=0) & ~seen[node]
+        keep = new.any(axis=1)
+        front, fw = node[keep], new[keep]
+        seen[front] |= fw
+        # pairs whose target just gained bits: resolved where it gained theirs
+        lo, hi = ts.searchsorted(front), ts.searchsorted(front, side="right")
+        p = _ranges(lo, hi)
+        if len(p):
+            hit = p[(fw[np.arange(len(front)).repeat(hi - lo), word[p]] & bit[p]) != 0]
+            dist[by_t[hit]] = level
+            pending -= len(hit)
+    return dist
 
 
 def path_distances(g: Graph, src: int,

@@ -8,7 +8,8 @@ peel keeps the package's scoring but asks a full breadth-first search after
 every pick, the reference graph is the list-of-lists construction that
 the CSR ``Graph`` replaced, and the reference greedy growth runs one Python
 heap per start.  The reference peel and growth loop over Python lists read
-off the CSR arrays (``adjacency_lists``).
+off the CSR arrays (``adjacency_lists``).  The reference seed sampling reads
+its spreads off a sources x nodes hop distance matrix.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
-from tensionkit import (Graph, InfeasibleError, InputError, evaluate_solution,
-                        proxy_weights)
+from tensionkit import (Graph, InfeasibleError, InputError, SeedGroup, evaluate_solution,
+                        largest_component, proxy_weights)
+from tensionkit.graph import hop_distance_matrix
 
 settings.register_profile(
     "default",
@@ -339,6 +341,30 @@ def reference_greedy_sets(g: Graph, weights, k: int, starts) -> np.ndarray:
         if len(members) == k:
             grown.add(frozenset(members))
     return np.array(sorted(tuple(sorted(nodes)) for nodes in grown), dtype=np.int64)
+
+
+def reference_sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 1000,
+                                 per_group: int = 30, rng_seed: int = 0):
+    """``sample_seed_groups`` as it ran before the pair distances: the same
+    draws and bands, with spreads read off one ``hop_distance_matrix`` row
+    per distinct candidate node (a sources x nodes matrix).  Takes valid
+    parameters."""
+    comp = largest_component(g)
+    rng = np.random.default_rng(rng_seed)
+    comp_arr = np.array(comp, dtype=np.int64)
+    candidates = [tuple(sorted(comp_arr[rng.choice(len(comp_arr), size=set_size,
+                                                   replace=False)].tolist()))
+                  for _ in range(n_candidates)]
+    cand = np.array(candidates, dtype=np.int64)
+    used, row = np.unique(cand, return_inverse=True)
+    dist = hop_distance_matrix(g, used)
+    spreads = dist[row.reshape(cand.shape)[:, :, None], cand[:, None, :]].max(axis=(1, 2))
+    p10, p33, p66, p90 = np.percentile(spreads, [10, 33, 66, 90])
+    groups = []
+    for label, lo, hi in [("D1", p10, p33), ("D2", p33, p66), ("D3", p66, p90)]:
+        picked = [c for c, s in zip(candidates, spreads) if lo <= s <= hi]
+        groups.append(SeedGroup(label, tuple(picked[:per_group])))
+    return tuple(groups)
 
 
 class OracleUnionFind:

@@ -336,6 +336,18 @@ class TestGenProfilesAndSampleSeeds:
             assert 1 <= len(sets) <= 4
             assert all(len(s) == 2 for s in sets)
 
+    @pytest.mark.parametrize("command", [
+        ["comm", "--scheme", "uniform"],
+        ["bench", "--scheme", "uniform"],
+        ["sample-seeds", "--out", "sets"]])
+    def test_negative_per_group_exits_1(self, tmp_path, path5, command, caplog):
+        argv = command[:1] + ["--graph", path5] + command[1:]
+        argv = [str(tmp_path / a) if a == "sets" else a for a in argv]
+        assert main(argv + ["--seed-size", "2", "--n-candidates", "20",
+                            "--per-group", "-3"]) == 1
+        assert "sets per group must be nonnegative, not -3" in caplog.text
+        assert not list(tmp_path.glob("sets*"))
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, path5):

@@ -335,7 +335,9 @@ class TestPeelScoresAreExact:
 
 # -- the witness of seed connectivity ---------------------------------------------
 
-PEEL_FAMILIES = ("components", "single-seed", "all-seeds", "path", "tree", "tied-weights")
+PEEL_FAMILIES = ("components", "single-seed", "all-seeds", "path", "tree", "tied-weights",
+                 "order-weights")
+ORDER_WEIGHTS = np.array([0.0, 0.1, 0.2, 0.3, 0.6, 0.25, 1e17])
 
 
 def _peel_case(rng, family):
@@ -354,6 +356,27 @@ def _peel_case(rng, family):
         seeds = rng.choice(home, size=int(rng.integers(1, min(3, len(home)) + 1)),
                            replace=False)
         return g, rng.random((g.node_count, 2)), sorted(seeds.tolist()), None
+    if family == "order-weights":
+        # seeds 0 and 1 joined through hubs, each with a pendant; a hub's
+        # weights are 0.1, 0.2 and 0.3 in some neighbour order, so its sum is
+        # 0.6 or 0.6000000000000001 by the order alone, and the order of the
+        # hub picks decides which hub is kept.  Hubs 2 and 3 also share an
+        # edge of 1e17, which absorbs the rest of a sum, so a sum kept by
+        # subtracting the removed weights goes wrong.  A few extra edges weigh
+        # ORDER_WEIGHTS values; ids are shuffled.
+        m = int(rng.integers(2, 7))
+        n = 2 + 2 * m
+        w = {(2, 3): 1e17}
+        for h in range(2, 2 + m):
+            for end, x in zip((0, 1, h + m), rng.permutation([0.1, 0.2, 0.3])):
+                w[(min(end, h), max(end, h))] = float(x)
+        for _ in range(int(rng.integers(0, 4))):
+            u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+            w[(u, v)] = float(rng.choice(ORDER_WEIGHTS))
+        ids = rng.permutation(n).tolist()
+        w = {(min(ids[u], ids[v]), max(ids[u], ids[v])): x for (u, v), x in w.items()}
+        g = Graph(n, list(w))
+        return g, rng.random((n, 1)), sorted([ids[0], ids[1]]), EdgeWeights.from_mapping(g, w)
     if family == "path":
         n = int(rng.integers(2, 16))
         g = Graph(n, [(v, v + 1) for v in range(n - 1)])

@@ -1,6 +1,11 @@
 """Standardized measures, seed-set sampling, and profile generators."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
-                        evaluate_solution, generate_profiles, proxy_weights,
-                        sample_seed_groups, standardized_metrics,
+                        evaluate_solution, generate_profiles, largest_component,
+                        proxy_weights, sample_seed_groups, standardized_metrics,
                         tree_community)
 from tensionkit.evaluation import (_exponential_raw, _power_iteration_svd,
                                    _top_left_singular_vectors,
                                    mean_squared_weight, seed_tree_edge_count)
 from tensionkit.synthetic import block_incidence
 
-from conftest import random_graph_and_profiles
+from conftest import random_graph_and_profiles, reference_sample_seed_groups
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- mean squared weight ---------------------------------------------------------
@@ -182,6 +189,52 @@ class TestSampleSeedGroups:
             sample_seed_groups(g, 0)
         with pytest.raises(InputError):
             sample_seed_groups(g, 2, n_candidates=0)
+
+    @pytest.mark.parametrize("per_group", [-1, -3])
+    def test_negative_per_group_rejected(self, per_group):
+        g = Graph(6, [(i, i + 1) for i in range(5)])
+        with pytest.raises(InputError, match="nonnegative"):
+            sample_seed_groups(g, 2, n_candidates=50, per_group=per_group)
+
+    def test_zero_per_group_gives_empty_groups(self):
+        g = Graph(6, [(i, i + 1) for i in range(5)])
+        groups = sample_seed_groups(g, 2, n_candidates=50, per_group=0)
+        assert [gr.sets for gr in groups] == [(), (), ()]
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=80)
+    def test_matches_distance_matrix_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        g, _ = random_graph_and_profiles(rng, 1, 40, connected=bool(seed % 3),
+                                         extra_p=float(rng.choice([0.02, 0.1, 0.4])))
+        comp = len(largest_component(g))
+        args = (int(rng.integers(1, min(comp, 8) + 1)), int(rng.integers(1, 120)),
+                int(rng.integers(0, 12)), seed)
+        assert sample_seed_groups(g, *args) == reference_sample_seed_groups(g, *args)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the address space size from /proc/self/statm")
+    def test_memory_stays_bounded_at_the_default_candidate_count(self):
+        # 1000 candidates of 7 on a 20 000-node graph touch about 5 900
+        # distinct nodes: a sources x nodes float matrix would be 0.94 GB,
+        # nearly twice the headroom the child gets above its size after set-up
+        script = textwrap.dedent("""
+            import os, resource
+            from tensionkit import sample_seed_groups
+            from tensionkit.synthetic import gnm_graph
+            g = gnm_graph(20_000, 100_000, rng_seed=1)
+            size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            limit = size + (512 << 20)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            groups = sample_seed_groups(g, 7, n_candidates=1000, per_group=30, rng_seed=1)
+            print(sum(len(gr.sets) for gr in groups))
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["90"]
 
 
 # -- profile generators -------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
+from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError, graph,
                         induced_subgraph, largest_component, seed_connector)
 from tensionkit.graph import (MAX_NODES, connected_components,
                               hop_distance_matrix, minimum_spanning_tree,
@@ -15,8 +15,8 @@ from tensionkit.graph import (MAX_NODES, connected_components,
 from tensionkit.synthetic import gnm_graph
 
 from conftest import (OracleUnionFind, adjacency_lists, oracle_is_connected,
-                      reference_components, reference_csr, reference_graph,
-                      reference_path_distances)
+                      random_graph_and_profiles, reference_components, reference_csr,
+                      reference_graph, reference_path_distances)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -481,6 +481,85 @@ class TestPathWalkIsTight:
         walks = [p for p in _all_simple_paths(g, src, dst)
                  if all(tight(u, v) for u, v in zip(p, p[1:]))]
         assert shortest_path(g, src, dst, weights=w) == (min(walks), dw[src])
+
+
+class TestPairHopDistances:
+    """Pair distances by bit-parallel search equal the rows of
+    ``hop_distance_matrix`` read at the pairs, in and across batches and
+    past the depth at which the pending pairs go one source at a time."""
+
+    @staticmethod
+    def _assert_matches_matrix(g, src, dst):
+        got = graph.pair_hop_distances(g, src, dst)
+        want = hop_distance_matrix(g, src)[np.arange(len(src)), dst]
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    @given(graphs(max_nodes=30), st.data())
+    @settings(max_examples=120)
+    def test_matches_matrix(self, g, data):
+        # disconnected pairs, isolated nodes, source == target and duplicates
+        node = st.integers(0, g.node_count - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=60))
+        pairs += pairs[:data.draw(st.integers(0, len(pairs)))]
+        src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        self._assert_matches_matrix(g, src, dst)
+
+    @given(st.integers(0, 100_000), st.sampled_from([0, 3, 10**6]), st.sampled_from([2, 64]))
+    @settings(max_examples=40)
+    def test_matches_matrix_across_words_batches_and_depth(self, seed, per_node, depth):
+        # every node of a 100-130-node graph is a source, so sources sit on
+        # both sides of the 64-bit word boundaries; a budget below the CSR
+        # entry count makes batches of 64 sources and, below n, a per-source
+        # finish of one source a call (0) or three (3), and depth 2 sends
+        # most pairs to that finish
+        rng = np.random.default_rng(seed)
+        g, _ = random_graph_and_profiles(rng, 100, 130, connected=bool(seed % 2),
+                                         extra_p=0.004)
+        n = g.node_count
+        src = np.r_[np.arange(n), rng.integers(0, n, 200)]
+        dst = np.r_[rng.permutation(n), rng.integers(0, n, 200)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "PAIR_ELEMENTS", max(1, per_node * n))
+            mp.setattr(graph, "FINISH_DEPTH", depth)
+            self._assert_matches_matrix(g, src, dst)
+
+    def test_path_deeper_than_64_levels_finishes_per_source(self, monkeypatch):
+        n = 300
+        g = _path_graph(n)
+        rng = np.random.default_rng(4)
+        src, dst = rng.integers(0, n, 500), rng.integers(0, n, 500)
+        calls = []
+
+        def matrix(g, sources):
+            calls.append(len(sources))
+            return hop_distance_matrix(g, sources)
+
+        monkeypatch.setattr(graph, "hop_distance_matrix", matrix)
+        monkeypatch.setattr(graph, "PAIR_ELEMENTS", 3 * n)  # 3 sources a finish call
+        got = graph.pair_hop_distances(g, src, dst)
+        assert np.array_equal(got, np.abs(src - dst).astype(np.float64))
+        assert calls and max(calls) <= 3
+        # the pairs within 64 hops resolve before the finish
+        calls.clear()
+        near = np.abs(src - dst) <= 64
+        assert np.array_equal(graph.pair_hop_distances(g, src[near], dst[near]),
+                              np.abs(src - dst)[near].astype(np.float64))
+        assert not calls
+
+    def test_unreachable_isolated_and_empty(self):
+        g = Graph(7, [(0, 1), (1, 2), (3, 4)])  # 5 and 6 are isolated
+        got = graph.pair_hop_distances(g, [0, 0, 5, 5, 3, 2], [2, 3, 5, 6, 4, 0])
+        assert got.tolist() == [2.0, np.inf, 0.0, np.inf, 1.0, 2.0]
+        assert graph.pair_hop_distances(g, [], []).shape == (0,)
+
+    def test_bad_pairs_rejected(self):
+        g = _path_graph(4)
+        with pytest.raises(InputError, match="outside"):
+            graph.pair_hop_distances(g, [0, 4], [1, 2])
+        with pytest.raises(InputError, match="outside"):
+            graph.pair_hop_distances(g, [0], [-1])
+        with pytest.raises(InputError, match="as many targets"):
+            graph.pair_hop_distances(g, [0, 1], [2])
 
 
 def _assert_matches_reference(g, src, weights=None):
