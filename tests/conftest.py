@@ -9,7 +9,9 @@ every pick, the reference graph is the list-of-lists construction that
 the CSR ``Graph`` replaced, and the reference greedy growth runs one Python
 heap per start.  The reference peel and growth loop over Python lists read
 off the CSR arrays (``adjacency_lists``).  The reference seed sampling reads
-its spreads off a sources x nodes hop distance matrix.
+its spreads off a sources x nodes hop distance matrix.  The reference
+edge-list and profile readers are the per-line loops that ran before the
+numpy parse.
 """
 
 from __future__ import annotations
@@ -365,6 +367,66 @@ def reference_sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 10
         picked = [c for c, s in zip(candidates, spreads) if lo <= s <= hi]
         groups.append(SeedGroup(label, tuple(picked[:per_group])))
     return tuple(groups)
+
+
+def _reference_data_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            payload = raw.split("#", 1)[0].strip()
+            if payload:
+                yield lineno, payload
+
+
+def reference_read_edge_list(path) -> Graph:
+    """``fileio.read_edge_list`` as it ran before the numpy parse: Python's
+    ``split`` and ``int`` on every line."""
+    edges: list[tuple[int, int]] = []
+    max_id = -1
+    for lineno, payload in _reference_data_lines(path):
+        parts = payload.split()
+        if len(parts) != 2:
+            raise InputError(f"{path}:{lineno}: expected two node ids, got {payload!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: node ids must be integers") from None
+        if u < 0 or v < 0:
+            raise InputError(f"{path}:{lineno}: node ids must be nonnegative")
+        if u == v:
+            raise InputError(f"{path}:{lineno}: self-loop at node {u} rejected")
+        edges.append((u, v))
+        max_id = max(max_id, u, v)
+    if max_id < 0:
+        raise InputError(f"{path}: no edges found")
+    return Graph(max_id + 1, edges)
+
+
+def reference_read_profiles(path, expected_nodes: int | None = None) -> np.ndarray:
+    """``fileio.read_profiles`` as it ran before the numpy parse: Python's
+    ``float`` on every value."""
+    rows: list[list[float]] = []
+    width = None
+    for lineno, payload in _reference_data_lines(path):
+        parts = payload.split()
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: attribute values must be numbers") from None
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise InputError(
+                f"{path}:{lineno}: row has {len(vals)} values, expected {width}")
+        for v in vals:
+            if not 0.0 <= v <= 1.0:
+                raise InputError(f"{path}:{lineno}: value {v} outside [0, 1]")
+        rows.append(vals)
+    if not rows:
+        raise InputError(f"{path}: no profile rows found")
+    if expected_nodes is not None and len(rows) != expected_nodes:
+        raise InputError(
+            f"{path}: {len(rows)} profile rows do not match {expected_nodes} graph nodes")
+    return np.array(rows, dtype=np.float64)
 
 
 class OracleUnionFind:

@@ -86,6 +86,12 @@ class TestConform:
         assert main(["conform", "--graph", str(tmp_path / "absent.edges"),
                      "--profiles", x]) == 1
 
+    def test_non_utf8_profiles_name_the_line(self, tmp_path, path5, caplog):
+        x = tmp_path / "x.profiles"
+        x.write_bytes(b"0.1\n0.2\n0.\xff3\n0.4\n0.5\n")
+        assert main(["conform", "--graph", path5, "--profiles", str(x)]) == 1
+        assert "x.profiles:3: not valid UTF-8 text" in caplog.text
+
 
 class TestComm:
     def test_seed_file_rows(self, tmp_path, path5):
@@ -182,6 +188,12 @@ class TestComm:
         g = write(tmp_path / "far.edges", "0 4000000000\n")
         assert main(["comm", "--graph", g, "--scheme", "uniform"]) == 1
         assert "exceeds the limit" in caplog.text
+
+    def test_non_utf8_graph_names_the_line(self, tmp_path, caplog):
+        g = tmp_path / "g.edges"
+        g.write_bytes(b"0 1\n1 \xff2\n")
+        assert main(["comm", "--graph", str(g), "--scheme", "uniform"]) == 1
+        assert "g.edges:2: not valid UTF-8 text" in caplog.text
 
     def test_profiles_and_scheme_together_exit_1(self, tmp_path, path5):
         x = write(tmp_path / "x.profiles", "0.1\n0.2\n0.3\n0.4\n0.5\n")

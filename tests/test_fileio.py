@@ -1,13 +1,176 @@
 """Plain-text formats: parsing, validation messages, and round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_read_edge_list, reference_read_profiles
 from tensionkit import Graph, InputError
 from tensionkit.fileio import (read_edge_list, read_incidence, read_profiles,
                                read_project, read_seed_sets,
                                read_skill_counts, write_csv, write_edge_list,
                                write_profiles, write_seed_sets)
+
+# separators Python's str.split() takes as whitespace, and line endings
+SEPS = [" ", "  ", "\t", " \t ", "\xa0", "\x0b", "\x0c", "\x1c", "\u2003"]
+ENDS = ["\n", "\r\n", "\r"]
+# lines that are no data: blank, comment-only, whitespace-only
+FILLER = ["", "# a comment", "   ", "\t# indented comment", "\xa0"]
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-list text mixing valid pairs in the spellings Python's ``int``
+    takes (some numpy rejects) with comments and every kind of bad line."""
+    def node_id(v):
+        return draw(st.sampled_from([str(v), f"+{v}", f"0{v}", "-0" if v == 0 else str(v),
+                                     "1_0" if v == 10 else str(v),
+                                     "\u0663" if v == 3 else str(v)]))
+
+    kinds = draw(st.lists(st.sampled_from(["pair"] * 4 + ["filler", "comment"]), max_size=10))
+    if draw(st.booleans()):  # one bad line, anywhere
+        kinds.insert(draw(st.integers(0, len(kinds))), draw(st.sampled_from(
+            ["one", "three", "negative", "loop", "word", "float", "large", "huge"])))
+    lines = []
+    for kind in kinds:
+        u, v = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        sep = draw(st.sampled_from(SEPS))
+        if kind == "pair":
+            v = v if v != u else u + 1
+            line = node_id(u) + sep + node_id(v)
+        elif kind == "filler":
+            line = draw(st.sampled_from(FILLER))
+        elif kind == "comment":
+            line = f"{u}{sep}{u + 1} # inline{sep}comment"
+        elif kind == "one":
+            line = str(u)
+        elif kind == "three":
+            line = f"{u}{sep}{u + 1}{sep}{v}"
+        elif kind == "negative":
+            line = f"{u}{sep}-{v + 1}"
+        elif kind == "loop":
+            line = f"{u}{sep}{u}"
+        elif kind == "word":
+            line = f"{u}{sep}x"
+        elif kind == "float":
+            line = f"{u}{sep}{v}.0"
+        elif kind == "large":  # past the node limit, within int64
+            line = f"{u}{sep}{2**31 - 1 + v}"
+        else:  # past int64
+            line = f"{2**63 + v}{sep}{u}"
+        lines.append(line + draw(st.sampled_from(ENDS)))
+    return "".join(lines)
+
+
+@st.composite
+def profile_files(draw):
+    """Profile text mixing values in the spellings Python's ``float`` takes
+    (some numpy rejects) with comments and every kind of bad row."""
+    width = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(["row"] * 4 + ["filler", "comment"]), max_size=8))
+    if draw(st.booleans()):  # one bad row, anywhere
+        kinds.insert(draw(st.integers(0, len(kinds))),
+                     draw(st.sampled_from(["ragged", "outside", "word"])))
+    lines = []
+    for kind in kinds:
+        row = [draw(st.floats(0, 1)) for _ in range(width)]
+        cells = [draw(st.sampled_from([repr(x), f"{x:.12f}", f"{x:+.3e}", f"{x:.6g}"]))
+                 for x in row]
+        if kind == "row":
+            k = draw(st.integers(0, width - 1))
+            cells[k] = draw(st.sampled_from(
+                [cells[k]] * 4 + ["0", "1", "-0.0", "+.5", "5e-1", "1_0e-1", "\u0660.\u0665"]))
+        elif kind == "ragged":
+            cells = cells + cells[:1] if draw(st.booleans()) else cells[:-1] or ["0.5", "0.5"]
+        elif kind == "outside":
+            cells[-1] = draw(st.sampled_from(["1.5", "-0.1", "nan", "inf", "-inf", "1e400"]))
+        elif kind == "word":
+            cells[0] = "abc"
+        sep = draw(st.sampled_from(SEPS))
+        line = sep.join(cells)
+        if kind == "filler":
+            line = draw(st.sampled_from(FILLER))
+        elif kind == "comment":
+            line += " # node"
+        lines.append(line + draw(st.sampled_from(ENDS)))
+    return "".join(lines)
+
+
+def outcome(read, path, *args):
+    try:
+        return read(path, *args)
+    except InputError as e:
+        return str(e)
+
+
+class TestAgainstTheLineReaders:
+    """The numpy parse keeps the line readers' results and messages."""
+
+    @given(edge_files())
+    @example("0 1\n2 -3\n")  # every line parses: the checks decide
+    @example("0 1 2\n3 4 5\n")
+    @example("7\n")
+    @settings(max_examples=200)
+    def test_edge_list_matches_the_reference(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("edges") / "g.edges"
+        p.write_bytes(text.encode("utf-8"))
+        want, got = outcome(reference_read_edge_list, p), outcome(read_edge_list, p)
+        if isinstance(want, str):
+            assert isinstance(got, str) and got == want
+        else:
+            assert got.node_count == want.node_count
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.edge_array(), want.edge_array())
+
+    @given(profile_files(), st.sampled_from([None, 0, 0, -1, 1]))
+    @example("0.5\n1.5\n", None)  # every row parses: the checks decide
+    @example("0.5\nnan\n", 0)
+    @example("0.5\n0.25\n", 1)
+    @settings(max_examples=200)
+    def test_profiles_match_the_reference(self, tmp_path_factory, text, rows_off):
+        p = tmp_path_factory.mktemp("profiles") / "x.profiles"
+        p.write_bytes(text.encode("utf-8"))
+        rows = sum(1 for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+                   if line.split("#")[0].strip())
+        expected = None if rows_off is None else max(rows + rows_off, 0)
+        want = outcome(reference_read_profiles, p, expected)
+        got = outcome(read_profiles, p, expected)
+        if isinstance(want, str):
+            assert isinstance(got, str) and got == want
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # bit for bit
+
+    @pytest.mark.parametrize("read", [read_edge_list, read_profiles])
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "0 1\n"])
+    def test_no_warning_leaks(self, tmp_path, read, text):
+        p = tmp_path / "in.txt"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "Empty input file" included
+            try:
+                read(p)
+            except InputError:
+                pass
+
+
+@pytest.mark.parametrize("read, good", [
+    (read_edge_list, "0 1\n"),
+    (read_profiles, "0.5\n"),
+    (lambda p: read_seed_sets(p, 4), "0 1\n"),
+    (read_skill_counts, "0 db 5\n"),
+    (read_project, "db\n"),
+    (read_incidence, "0 f\n"),
+])
+def test_non_utf8_line_is_named(tmp_path, read, good):
+    p = tmp_path / "in.txt"
+    p.write_bytes(b"# header\n" + b"# caf\xc3\xa9 is fine\n" + good.encode() + b"\xff\n")
+    with pytest.raises(InputError, match=r"in\.txt:4: not valid UTF-8 text"):
+        read(p)
 
 
 class TestEdgeList:
