@@ -4,16 +4,18 @@ All formats are UTF-8, whitespace-separated text with ``#`` starting a
 comment; parse errors name the offending line, and so does a line that is
 not valid UTF-8.
 
-Edge lists and profiles are parsed by one ``np.loadtxt`` call and checked
-with array tests.  When numpy rejects the file or a check fails, the line
-reader runs instead: it words the error, or returns its own result for what
-Python's ``int`` / ``float`` accept and numpy does not (``1_0``, non-ASCII
-digits).  numpy never decides what is valid; it only makes valid input fast.
+Edge lists and profiles are read once, parsed by one ``np.loadtxt`` call and
+checked with array tests.  When numpy rejects the text or warns, or a check
+fails, the line reader runs on the same bytes instead: it words the error,
+or returns its own result for what Python's ``int`` / ``float`` accept and
+numpy does not (``1_0``, non-ASCII digits).  numpy never decides what is
+valid; it only makes valid input fast.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,11 +27,20 @@ from .errors import InputError
 from .graph import Graph
 
 
-def _data_lines(path):
-    """Yield (line_number, payload) for non-blank, non-comment content."""
+def _read_bytes(path) -> bytes:
+    """The whole input, read once, so a pipe serves numpy and the line
+    reader alike."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _data_lines(path, data: bytes | None = None):
+    """Yield (line_number, payload) for non-blank, non-comment content of
+    ``path``, or of ``data`` when the file was already read."""
     # undecodable bytes become lone surrogates, so the bad line is known by
     # its number and lines still end at \n, \r\n or \r
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    source = open(path, "rb") if data is None else io.BytesIO(data)
+    with io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
                 try:
@@ -41,16 +52,19 @@ def _data_lines(path):
                 yield lineno, payload
 
 
-def _load_table(path, dtype) -> np.ndarray | None:
-    """The file as a 2-D ``dtype`` array parsed by numpy, or None where
-    numpy rejects it."""
-    # the file is opened here: numpy's own opener would decompress a .gz
-    # path and look for sibling or remote files
-    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # "Empty input file"
+def _load_table(data: bytes, dtype) -> np.ndarray | None:
+    """``data`` as a 2-D ``dtype`` array parsed by numpy, or None where
+    numpy rejects it or warns."""
+    # numpy gets a handle, not the path: its own opener would decompress a
+    # .gz path and look for sibling or remote files.  Any warning rejects:
+    # older numpy truncates "1.5" to an integer with only a warning, and an
+    # empty table (which warns) is an error the line reader words.
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
             return np.loadtxt(fh, dtype=dtype, comments="#", ndmin=2)
-        except (ValueError, OverflowError):  # UnicodeDecodeError is a ValueError
+        except (ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
             return None
 
 
@@ -60,17 +74,18 @@ def read_edge_list(path) -> Graph:
     Duplicate and reversed pairs are deduplicated; self-loops are rejected.
     The node count is the largest id plus one.
     """
-    E = _load_table(path, np.int64)
+    data = _read_bytes(path)
+    E = _load_table(data, np.int64)
     if (E is None or E.shape[1] != 2 or not len(E) or E.min() < 0
             or (E[:, 0] == E[:, 1]).any()):
-        return _read_edge_list_lines(path)
+        return _read_edge_list_lines(path, data)
     return Graph(int(E.max()) + 1, E)
 
 
-def _read_edge_list_lines(path) -> Graph:
+def _read_edge_list_lines(path, data: bytes) -> Graph:
     edges: list[tuple[int, int]] = []
     max_id = -1
-    for lineno, payload in _data_lines(path):
+    for lineno, payload in _data_lines(path, data):
         parts = payload.split()
         if len(parts) != 2:
             raise InputError(f"{path}:{lineno}: expected two node ids, got {payload!r}")
@@ -98,17 +113,18 @@ def write_edge_list(path, g: Graph) -> None:
 def read_profiles(path, expected_nodes: int | None = None) -> np.ndarray:
     """Read a latent profile matrix: row ``i`` holds node ``i``'s attribute
     values, whitespace-separated, each in [0, 1]."""
-    X = _load_table(path, np.float64)
+    data = _read_bytes(path)
+    X = _load_table(data, np.float64)
     if (X is None or not len(X) or not ((0 <= X) & (X <= 1)).all()
             or (expected_nodes is not None and len(X) != expected_nodes)):
-        return _read_profile_lines(path, expected_nodes)
+        return _read_profile_lines(path, data, expected_nodes)
     return X
 
 
-def _read_profile_lines(path, expected_nodes: int | None) -> np.ndarray:
+def _read_profile_lines(path, data: bytes, expected_nodes: int | None) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    for lineno, payload in _data_lines(path):
+    for lineno, payload in _data_lines(path, data):
         parts = payload.split()
         try:
             vals = [float(p) for p in parts]

@@ -139,13 +139,14 @@ class Graph:
         """Ascending positions in :meth:`edge_array` of the edges with both
         ends in ``nodes``: each member's block of edges to higher ids,
         filtered by its other end, or a mask over every edge when those
-        blocks hold more than half of them, where the mask is cheaper."""
+        blocks hold more than a third of them, about where the mask was
+        timed to become the cheaper of the two."""
         keep = np.zeros(self.node_count, dtype=bool)
         keep[np.fromiter(nodes, dtype=np.int64)] = True
         members = np.flatnonzero(keep)
         lo, hi = self._up[members], self._up[members + 1]
         ea = self._edge_array
-        if 2 * (hi - lo).sum() > self.edge_count:
+        if 3 * (hi - lo).sum() > self.edge_count:
             return np.flatnonzero(keep[ea[:, 0]] & keep[ea[:, 1]])
         pos = _ranges(lo, hi)
         return pos[keep[ea[pos, 1]]]

@@ -1,5 +1,6 @@
 """Plain-text formats: parsing, validation messages, and round trips."""
 
+import os
 import warnings
 
 import numpy as np
@@ -151,11 +152,55 @@ class TestAgainstTheLineReaders:
         p = tmp_path / "in.txt"
         p.write_text(text)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy's "Empty input file" included
+            warnings.simplefilter("error")  # numpy's "input contained no data" included
             try:
                 read(p)
             except InputError:
                 pass
+
+    @pytest.mark.parametrize("read, text, table, want", [
+        # numpy before the deprecation expired read "1.5" as 1, with a warning
+        (read_edge_list, "0 1.5\n", [[0, 1]], r"in\.txt:1: node ids must be integers"),
+        (read_profiles, "0.5\n2\n", [[0.5], [1.0]], r"in\.txt:2: value 2.0 outside \[0, 1\]"),
+    ])
+    def test_a_numpy_warning_rejects_the_table(self, tmp_path, monkeypatch,
+                                               read, text, table, want):
+        def loadtxt(*args, **kwargs):
+            warnings.warn("parsing via a float is deprecated", DeprecationWarning)
+            return np.array(table)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        p = tmp_path / "in.txt"
+        p.write_text(text)
+        with pytest.raises(InputError, match=want):
+            read(p)
+
+    @pytest.mark.parametrize("read, reference, text", [
+        (read_edge_list, reference_read_edge_list, "0 1\n2 x\n"),
+        (read_edge_list, reference_read_edge_list, "0 1\n1_0 2\n"),
+        (read_profiles, reference_read_profiles, "0.5\nabc\n"),
+        (read_profiles, reference_read_profiles, "0.5\n1_0e-1\n"),
+    ])
+    def test_a_pipe_is_read_once(self, tmp_path, read, reference, text):
+        """The line reader gets the bytes numpy saw, not a drained pipe
+        (the input of ``--graph <(zcat g.gz)``)."""
+        plain = tmp_path / "in.txt"
+        plain.write_text(text)
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        try:
+            pipe = f"/dev/fd/{r}"
+            got = outcome(read, pipe)
+        finally:
+            os.close(r)
+        want = outcome(reference, plain)
+        if isinstance(want, str):
+            assert got == want.replace(str(plain), pipe)
+        elif read is read_edge_list:
+            assert np.array_equal(got.edge_array(), want.edge_array())
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("read, good", [

@@ -240,14 +240,14 @@ class TestInducedSubgraph:
     def test_edges_within_matches_the_edge_mask(self):
         # a set that is most of the graph, a small scattered one, and the
         # prefixes 0..k-1 and 0..k whose blocks of edges to higher ids hold
-        # just at most and just over half the edges (where edges_within
+        # just at most and just over a third of the edges (where edges_within
         # switches to the mask), against the mask over every edge
         g = gnm_graph(3000, 9000, rng_seed=4)
         ea = g.edge_array()
         rng = np.random.default_rng(4)
         below = np.searchsorted(ea[:, 0], np.arange(3000))  # block sum of 0..k-1
-        k = int(np.flatnonzero(2 * below <= g.edge_count)[-1])
-        assert 2 * np.searchsorted(ea[:, 0], k + 1) > g.edge_count
+        k = int(np.flatnonzero(3 * below <= g.edge_count)[-1])
+        assert 3 * np.searchsorted(ea[:, 0], k + 1) > g.edge_count
         for nodes in (largest_component(g), rng.choice(3000, 60, replace=False),
                       range(k), range(k + 1)):
             keep = np.zeros(g.node_count, dtype=bool)
