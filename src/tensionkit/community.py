@@ -127,6 +127,8 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
 
     Path lengths are hop counts when ``weights`` is None, else summed edge
     weights (ties: fewest hops, then lexicographically smallest sequence).
+    Float path sums need not be symmetric, so the orientation is fixed: the
+    closure of seeds ``a < b`` reads ``a``'s row, and the walk reads ``b``'s.
     Returns the union of path nodes and the union of path edges.
     """
     seeds = _check_seeds(g, seeds)

@@ -107,9 +107,10 @@ def sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 1000,
     band become groups D1, D2 and D3.  The spreads come from
     :func:`~tensionkit.graph.pair_hop_distances` on each candidate's member
     pairs ``i < j``: a bit-parallel BFS from the members whose arrays stay
-    within ``graph.PAIR_ELEMENTS`` words (32 MB) at any candidate count,
-    and which finishes pairs deeper than 64 levels with one BFS per source
-    (see the ``graph`` design notes).
+    within ``graph.PAIR_ELEMENTS`` words (32 MB) at any candidate count.
+    Each level pushes from a small frontier and pulls over every CSR row
+    once the frontier covers much of the graph, and pairs deeper than 64
+    levels finish with one BFS per source (see the ``graph`` design notes).
     """
     if set_size < 1:
         raise InputError("seed set size must be at least 1")

@@ -28,14 +28,26 @@ path (25 vs 8 ms), a bounded factor.
 sampling needs, without a row per source: a multi-source BFS with one bit
 per source (Then et al., VLDB 2014).  A batch of ``64 * words`` sources
 keeps ``seen``, an ``(n, words)`` uint64 array, and a frontier of nodes
-with the words they gained at the last level.  A level expands the frontier
-rows over the CSR arrays, ORs the words arriving at each neighbour, masks
-them with ``~seen`` and keeps the nonzero rows; a pair resolves at the
-level where its target's row gains its source's bit.  ``words`` is sized
-so that ``seen`` and the expanded rows hold at most ``PAIR_ELEMENTS`` words
-(32 MB; one word per node or CSR entry on larger graphs).  A level costs
-the frontier's CSR entries times ``words`` plus the pairs of the targets it
-reaches, never n or the pair count.  On a deep graph the words would be
+with the words they gained at the last level.  A level finds the words
+arriving at each node, masks them with ``~seen`` and keeps the nonzero
+rows; a pair resolves at the level where its target's row gains its
+source's bit.  Each level picks a direction (Beamer, Asanovic and Patterson,
+SC 2012).  A *push* expands the frontier rows over the CSR arrays, sorts the
+entries by neighbour and ORs the words arriving at each: it costs the
+frontier's CSR entries times ``words`` plus a sort.  Once ``PULL_FACTOR``
+(4) times those entries exceeds all 2E, the level *pulls* instead: every
+nonempty row ORs its neighbours' ``seen`` words over its own CSR entries,
+one ``reduceat`` per word, with no sort, and masks them with its own
+``~seen``; a neighbour's bit from an earlier level has already reached the
+row, so only the last level's bits survive.  A pull costs 2E times
+``words`` plus n, at most ``PULL_FACTOR`` times what the push would expand.
+On a small-world graph the frontier covers the graph after two or three
+levels, and a pull then costs about half a push or less (timings in
+CHANGES.md).
+``words`` is sized so that ``seen`` and the expanded rows hold at most
+``PAIR_ELEMENTS`` words each (32 MB; one word per node or CSR entry on
+larger graphs).  Beyond that a level costs the pairs of the targets it
+reaches, never the pair count.  On a deep graph the words would be
 expanded once per level, about n * depth * S / 64 word operations for S
 sources, so after ``FINISH_DEPTH`` (64) levels a batch finishes its
 pending pairs with ``_hop_rows`` per source, in matrices of at most
@@ -66,6 +78,7 @@ from .errors import InfeasibleError, InputError
 MAX_NODES = 2**31 - 1  # csgraph's int32 index limit (see the design notes)
 PAIR_ELEMENTS = 1 << 22  # cap on nodes (or CSR entries) x source words in one batch
 FINISH_DEPTH = 64  # levels a pair batch runs before its pending pairs go per source
+PULL_FACTOR = 4  # a level pulls once this times the frontier's CSR entries exceeds 2E
 
 
 class Graph:
@@ -359,22 +372,11 @@ def _bit_bfs(g: Graph, sources: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.
                 dist[left[a:z]] = d[row_of[a:z] - c, t[left[a:z]]]
             break
         level += 1
-        # the frontier's CSR rows, their words OR-combined per neighbour
         lo, hi = indptr[front], indptr[front + 1]
-        nbr = indices[_ranges(lo, hi)]
-        if not len(nbr):
-            break
-        order = nbr.argsort()
-        nbr = nbr[order]
-        head = np.empty(len(nbr), dtype=bool)
-        head[0] = True
-        np.not_equal(nbr[1:], nbr[:-1], out=head[1:])
-        head = head.nonzero()[0]
-        node = nbr[head]
-        new = np.bitwise_or.reduceat(fw[np.arange(len(front)).repeat(hi - lo)[order]],
-                                     head, axis=0) & ~seen[node]
-        keep = new.any(axis=1)
-        front, fw = node[keep], new[keep]
+        if PULL_FACTOR * (hi - lo).sum() > len(indices):
+            front, fw = _pull(indptr, indices, seen)
+        else:
+            front, fw = _push(indices, lo, hi, fw, seen)
         seen[front] |= fw
         # pairs whose target just gained bits: resolved where it gained theirs
         lo, hi = ts.searchsorted(front), ts.searchsorted(front, side="right")
@@ -384,6 +386,44 @@ def _bit_bfs(g: Graph, sources: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.
             dist[by_t[hit]] = level
             pending -= len(hit)
     return dist
+
+
+def _push(indices, lo, hi, fw, seen):
+    """One level from the frontier (CSR rows ``lo:hi`` with words ``fw``):
+    its entries sorted by neighbour, their words OR-combined per neighbour
+    and masked with ``~seen``; returns the nodes that gained bits and their
+    new words."""
+    nbr = indices[_ranges(lo, hi)]
+    if not len(nbr):
+        return nbr, fw[:0]
+    order = nbr.argsort()
+    nbr = nbr[order]
+    head = np.empty(len(nbr), dtype=bool)
+    head[0] = True
+    np.not_equal(nbr[1:], nbr[:-1], out=head[1:])
+    head = head.nonzero()[0]
+    node = nbr[head]
+    new = np.bitwise_or.reduceat(fw.take(np.arange(len(lo)).repeat(hi - lo)[order], axis=0),
+                                 head, axis=0) & ~seen[node]
+    keep = new.any(axis=1)
+    return node[keep], new[keep]
+
+
+def _pull(indptr, indices, seen):
+    """The same level read the other way, with no sort: each nonempty CSR
+    row ORs its neighbours' ``seen`` words and masks them with its own
+    ``~seen``.  A neighbour that held a bit before the last level passed it
+    to this row at the last level at the latest, so only the bits the
+    neighbours gained at the last level survive, as in a push.  One reduceat
+    per word beats one over ``(2E, words)`` rows, which numpy walks column
+    by column."""
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])  # reduceat takes no empty row
+    new = np.empty((seen.shape[1], len(rows)), dtype=np.uint64)
+    for word, out in zip(seen.T, new):
+        np.bitwise_or.reduceat(word.take(indices), indptr[rows], out=out)
+    new = new.T & ~seen[rows]
+    keep = new.any(axis=1)
+    return rows[keep], new[keep]
 
 
 def path_distances(g: Graph, src: int,

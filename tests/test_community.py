@@ -12,6 +12,7 @@ from tensionkit import (VARIANT_TAGS, ConvergenceError, EdgeWeights, Graph,
 from tensionkit import community
 from tensionkit.community import PEEL_VARIANTS, seed_connector
 from tensionkit.conformation import DENSE_LIMIT
+from tensionkit.graph import path_distances
 
 from conftest import (adjacency_lists, oracle_is_connected, oracle_min_tension,
                       oracle_tension, random_graph_and_profiles,
@@ -212,6 +213,18 @@ class TestSeedConnector:
         g = Graph(2, [(0, 1)])
         with pytest.raises(InputError, match="at least one seed"):
             seed_connector(g, [])
+
+    def test_closure_reads_the_smaller_seeds_row(self):
+        # float path sums are not symmetric here: read from the larger seed's
+        # row, the closure would join 2 to 0 instead of to 4
+        g = Graph(7, [(0, 1), (1, 4), (1, 6), (2, 3), (3, 5), (3, 6), (4, 6), (5, 6)])
+        w = EdgeWeights(g, [0.1, 0.1, 0.2, 0.6, 0.7, 0.7, 0.3, 0.2])
+        d = {s: path_distances(g, s, w)[0] for s in (0, 2, 4)}
+        assert (d[0][2], d[2][0]) == (1.6, 1.5999999999999999)
+        assert (d[2][4], d[4][2]) == (1.5999999999999999, 1.6)
+        nodes, edges = seed_connector(g, [0, 2, 4], w)
+        assert edges == {(0, 1), (1, 4), (4, 6), (2, 3), (3, 6)}
+        assert nodes == {0, 1, 2, 3, 4, 6}
 
 
 # -- top-down strategy -----------------------------------------------------------

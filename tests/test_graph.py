@@ -489,10 +489,22 @@ class TestPathWalkIsTight:
         assert shortest_path(g, src, dst, weights=w) == (min(walks), dw[src])
 
 
+# PULL_FACTOR values that make every level of a pair search push, every
+# level pull (a factor above any test graph's 2E), or leave the module's own
+# choice by frontier size (None)
+DIRECTIONS = {"push": 0, "pull": 10**9, "both": None}
+
+
+def _directed(mp, direction):
+    if DIRECTIONS[direction] is not None:
+        mp.setattr(graph, "PULL_FACTOR", DIRECTIONS[direction])
+
+
 class TestPairHopDistances:
     """Pair distances by bit-parallel search equal the rows of
     ``hop_distance_matrix`` read at the pairs, in and across batches and
-    past the depth at which the pending pairs go one source at a time."""
+    past the depth at which the pending pairs go one source at a time,
+    whichever direction each level takes."""
 
     @staticmethod
     def _assert_matches_matrix(g, src, dst):
@@ -500,24 +512,28 @@ class TestPairHopDistances:
         want = hop_distance_matrix(g, src)[np.arange(len(src)), dst]
         assert got.dtype == np.float64 and np.array_equal(got, want)
 
-    @given(graphs(max_nodes=30), st.data())
-    @settings(max_examples=120)
-    def test_matches_matrix(self, g, data):
+    @given(graphs(max_nodes=30), st.data(), st.sampled_from(list(DIRECTIONS)))
+    @settings(max_examples=240)
+    def test_matches_matrix(self, g, data, direction):
         # disconnected pairs, isolated nodes, source == target and duplicates
         node = st.integers(0, g.node_count - 1)
         pairs = data.draw(st.lists(st.tuples(node, node), max_size=60))
         pairs += pairs[:data.draw(st.integers(0, len(pairs)))]
         src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        self._assert_matches_matrix(g, src, dst)
+        with pytest.MonkeyPatch.context() as mp:
+            _directed(mp, direction)
+            self._assert_matches_matrix(g, src, dst)
 
-    @given(st.integers(0, 100_000), st.sampled_from([0, 3, 10**6]), st.sampled_from([2, 64]))
-    @settings(max_examples=40)
-    def test_matches_matrix_across_words_batches_and_depth(self, seed, per_node, depth):
+    @given(st.integers(0, 100_000), st.sampled_from([0, 3, 10**6]), st.sampled_from([2, 64]),
+           st.sampled_from(list(DIRECTIONS)))
+    @settings(max_examples=90)
+    def test_matches_matrix_across_words_batches_and_depth(self, seed, per_node, depth,
+                                                           direction):
         # every node of a 100-130-node graph is a source, so sources sit on
         # both sides of the 64-bit word boundaries; a budget below the CSR
         # entry count makes batches of 64 sources and, below n, a per-source
         # finish of one source a call (0) or three (3), and depth 2 sends
-        # most pairs to that finish
+        # most pairs to that finish; the sparse graphs leave nodes isolated
         rng = np.random.default_rng(seed)
         g, _ = random_graph_and_profiles(rng, 100, 130, connected=bool(seed % 2),
                                          extra_p=0.004)
@@ -527,7 +543,27 @@ class TestPairHopDistances:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "PAIR_ELEMENTS", max(1, per_node * n))
             mp.setattr(graph, "FINISH_DEPTH", depth)
+            _directed(mp, direction)
             self._assert_matches_matrix(g, src, dst)
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_levels_take_the_direction_asked(self, monkeypatch, direction):
+        # 40 sources of a sparse 2 000-node graph start with a small
+        # frontier that, by the module's rule, pushes first and then pulls
+        want = ["push", "pull"] if direction == "both" else [direction]
+        g = gnm_graph(2000, 6000, rng_seed=3)
+        rng = np.random.default_rng(5)
+        src, dst = rng.integers(0, 2000, 40), rng.integers(0, 2000, 40)
+        levels = []
+        for name in ("_push", "_pull"):
+            def spy(*args, real=getattr(graph, name), name=name[1:]):
+                levels.append(name)
+                return real(*args)
+            monkeypatch.setattr(graph, name, spy)
+        _directed(monkeypatch, direction)
+        self._assert_matches_matrix(g, src, dst)
+        assert len(levels) > 3
+        assert list(dict.fromkeys(levels)) == want  # in order of first use
 
     def test_path_deeper_than_64_levels_finishes_per_source(self, monkeypatch):
         n = 300
@@ -554,9 +590,16 @@ class TestPairHopDistances:
 
     def test_unreachable_isolated_and_empty(self):
         g = Graph(7, [(0, 1), (1, 2), (3, 4)])  # 5 and 6 are isolated
-        got = graph.pair_hop_distances(g, [0, 0, 5, 5, 3, 2], [2, 3, 5, 6, 4, 0])
-        assert got.tolist() == [2.0, np.inf, 0.0, np.inf, 1.0, 2.0]
-        assert graph.pair_hop_distances(g, [], []).shape == (0,)
+        # isolated nodes first, between and last: empty CSR rows at each end
+        h = Graph(8, [(1, 2), (2, 4), (4, 5)])
+        for direction in DIRECTIONS:
+            with pytest.MonkeyPatch.context() as mp:
+                _directed(mp, direction)
+                got = graph.pair_hop_distances(g, [0, 0, 5, 5, 3, 2], [2, 3, 5, 6, 4, 0])
+                assert got.tolist() == [2.0, np.inf, 0.0, np.inf, 1.0, 2.0]
+                assert graph.pair_hop_distances(g, [], []).shape == (0,)
+                got = graph.pair_hop_distances(h, [1, 1, 1, 0, 7, 3], [5, 0, 7, 6, 3, 1])
+                assert got.tolist() == [3.0, np.inf, np.inf, np.inf, np.inf, np.inf]
 
     def test_bad_pairs_rejected(self):
         g = _path_graph(4)
