@@ -239,6 +239,8 @@ def run_comm(args) -> tuple[tuple[str, ...], list[list[str]]]:
 
 
 def run_team(args) -> tuple[tuple[str, ...], list[list[str]]]:
+    if args.n_projects < 0:
+        raise InputError(f"--n-projects must be nonnegative, not {args.n_projects}")
     g_full = _load_graph(args.graph)
     g, olds = _restrict(g_full)
     new_of = {old: new for new, old in enumerate(olds)}

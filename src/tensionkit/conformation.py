@@ -86,12 +86,15 @@ def conform(g: Graph, latent, tol: float = 1e-9,
     which bounds the max-norm distance of the returned profiles to the true
     equilibrium by ``tol`` (the contraction factor is ``deg/(1+deg)``).
     Raises :class:`ConvergenceError` carrying the last iterate when the
-    iteration budget runs out first.
+    iteration budget runs out first, and :class:`InputError` for a budget
+    below one iteration.
     """
     X = profile_matrix(g, latent)
     _check_tol(tol)
     if max_iter is None:
         max_iter = default_max_iter(g.node_count)
+    elif max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, not {max_iter}")
     deg = g.degrees().astype(np.float64)
     denom = (1.0 + deg)[:, None]
     stop_tol = tol / (1.0 + deg.max()) if g.node_count else tol
@@ -188,15 +191,6 @@ def equilibrium_solve(g: Graph, latent) -> np.ndarray:
     X = profile_matrix(g, latent)
     ea = g.edge_array()
     return _solve(X[None], np.zeros(len(ea), np.int64), ea[:, 0], ea[:, 1], 1e-9)[0]
-
-
-def equilibrium_residual(g: Graph, latent, conformed) -> float:
-    """Max-norm fixed-point residual of ``conformed`` under one averaging
-    step (0 at the exact equilibrium)."""
-    X = profile_matrix(g, latent)
-    F = profile_matrix(g, conformed, like=X)
-    denom = (1.0 + g.degrees().astype(np.float64))[:, None]
-    return float(np.abs((X + g.adjacency_csr() @ F) / denom - F).max())
 
 
 def node_tension(g: Graph, latent, conformed, i: int) -> float:

@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import svds
 
 from .community import Solution, seed_connector
 from .errors import InfeasibleError, InputError
@@ -156,12 +157,16 @@ def _top_left_singular_vectors(M, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k > min(n, f):
         raise InputError(
             f"requested {k} attribute columns but the incidence matrix only supports {min(n, f)}")
-    if n * f <= 4_000_000:
+    # svds needs k < min(n, f); at k == min(n, f) the dense matrix holds
+    # only k * max(n, f) entries
+    if n * f <= 4_000_000 or k == min(n, f):
         dense = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
         U, S, _ = np.linalg.svd(dense, full_matrices=False)
         U, S = U[:, :k], S[:k]
     else:
-        U, S = _power_iteration_svd(M, k)
+        U, S, _ = svds(M, k, v0=np.random.default_rng(0x5EED).standard_normal(min(n, f)))
+        order = np.argsort(-S, kind="stable")
+        U, S = U[:, order], S[order]
     # deterministic sign: the largest-magnitude entry of each vector is nonnegative
     for j in range(k):
         col = U[:, j]
@@ -178,34 +183,6 @@ def _top_left_singular_vectors(M, k: int) -> tuple[np.ndarray, np.ndarray]:
         if resid >= 1e-6:
             raise RuntimeError(f"singular vector {j} failed the residual check ({resid:.2e})")
     return U, S
-
-
-def _power_iteration_svd(M, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Power iteration with deflation on M M^T (matrix-free products)."""
-    n = M.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    found_u: list[np.ndarray] = []
-    found_s2: list[float] = []
-    for _ in range(k):
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        prev = v
-        for _ in range(10_000):
-            y = M @ (M.T @ v)
-            for u in found_u:
-                y -= (u @ y) * u
-            norm = np.linalg.norm(y)
-            if norm == 0:
-                break
-            v = y / norm
-            if np.linalg.norm(v - prev) < 1e-13:
-                break
-            prev = v
-        s2 = float(v @ (M @ (M.T @ v)))
-        found_u.append(v)
-        found_s2.append(max(s2, 0.0))
-    U = np.column_stack(found_u)
-    return U, np.sqrt(np.array(found_s2))
 
 
 def generate_profiles(n: int, m: int, scheme: str, rng_seed: int = 0,

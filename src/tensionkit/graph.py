@@ -132,9 +132,6 @@ class Graph:
 
     # -- basic accessors -------------------------------------------------
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         if self._edges is None:
@@ -204,15 +201,6 @@ class EdgeWeights:
         self.values = values
         self._csr = None
 
-    @classmethod
-    def from_mapping(cls, graph: Graph, mapping: Mapping[tuple[int, int], float]) -> "EdgeWeights":
-        values = np.zeros(graph.edge_count, dtype=np.float64)
-        values[_edge_positions(graph, mapping, "weight given for")] = list(mapping.values())
-        return cls(graph, values)
-
-    def get(self, u: int, v: int) -> float:
-        return self.values[_edge_positions(self.graph, [(u, v)], "no weight for")[0]]
-
     def weighted_csr(self) -> sp.csr_matrix:
         """Symmetric weighted adjacency; zero weights stay explicit entries."""
         if self._csr is None:
@@ -220,9 +208,15 @@ class EdgeWeights:
         return self._csr
 
     def with_zeroed(self, pairs: Iterable[tuple[int, int]]) -> "EdgeWeights":
-        """Copy with the edges ``pairs`` (tuples or a (k, 2) array) set to zero."""
+        """Copy with the edges ``pairs`` (tuples or a (k, 2) array) set to
+        zero; a pair that is no edge raises :class:`InputError`."""
+        uv = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+        uv = np.sort(uv.reshape(-1, 2), axis=1)
+        at, found = _find_edges(self.graph, uv[:, 0], uv[:, 1])
+        if not found.all():
+            raise InputError(f"cannot zero non-edge {tuple(uv[np.argmin(found)].tolist())}")
         values = self.values.copy()
-        values[_edge_positions(self.graph, pairs, "cannot zero")] = 0.0
+        values[at] = 0.0
         return EdgeWeights(self.graph, values)
 
 
@@ -236,17 +230,6 @@ def _find_edges(g: Graph, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
     found = (u >= 0) & (v < n) & (at < len(keys))
     found[found] = keys[at[found]] == want[found]
     return at, found
-
-
-def _edge_positions(g: Graph, pairs, what: str) -> np.ndarray:
-    """Positions in ``g.edges()`` of the unordered ``pairs``; a pair that is
-    no edge raises :class:`InputError`."""
-    uv = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
-    uv = np.sort(uv.reshape(-1, 2), axis=1)
-    at, found = _find_edges(g, uv[:, 0], uv[:, 1])
-    if not found.all():
-        raise InputError(f"{what} non-edge {tuple(uv[np.argmin(found)].tolist())}")
-    return at
 
 
 # -- subgraphs and components ---------------------------------------------
@@ -268,26 +251,12 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
     return Graph(len(olds), inside), olds
 
 
-def _component_labels(g: Graph) -> np.ndarray:
-    """Each node's component, the components numbered by smallest member."""
-    count, labels = csgraph.connected_components(g.adjacency_csr(), directed=False)
-    first = np.full(count, g.node_count)
-    np.minimum.at(first, labels, np.arange(g.node_count))
-    return np.argsort(np.argsort(first))[labels]
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted node lists, ordered by smallest member."""
-    labels = _component_labels(g)
-    nodes = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
-
-
 def largest_component(g: Graph) -> list[int]:
     """Nodes of the largest component (ties: smallest minimum id), sorted."""
-    labels = _component_labels(g)
-    return np.flatnonzero(labels == np.argmax(np.bincount(labels))).tolist()
+    _, labels = csgraph.connected_components(g.adjacency_csr(), directed=False)
+    size = np.bincount(labels)[labels]
+    # the lowest id in a largest component names the component to keep
+    return np.flatnonzero(labels == labels[np.argmax(size == size.max())]).tolist()
 
 
 # -- distances and shortest paths ------------------------------------------
@@ -465,22 +434,6 @@ def _reconstruct_path(g: Graph, src: int, dst: int, dw: np.ndarray, dh: np.ndarr
         u = int(nbrs[hits[0]])  # neighbours ascend, so the first is smallest
         path.append(u)
     return path
-
-
-def shortest_path(g: Graph, src: int, dst: int,
-                  weights: EdgeWeights | None = None) -> tuple[list[int], float]:
-    """Shortest path and its length; unit lengths when ``weights`` is None.
-
-    Ties are broken by fewest hops, then by lexicographically smallest node
-    sequence.  Raises :class:`InfeasibleError` for a disconnected pair.
-    """
-    if not (0 <= src < g.node_count and 0 <= dst < g.node_count):
-        raise InputError("path endpoints outside the graph")
-    if src == dst:
-        return [src], 0.0
-    dw, dh = path_distances(g, dst, weights)
-    path = _reconstruct_path(g, src, dst, dw, dh, weights)
-    return path, float(dw[src])
 
 
 # -- spanning trees ---------------------------------------------------------

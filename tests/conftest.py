@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
-from tensionkit import (Graph, InfeasibleError, InputError, SeedGroup, evaluate_solution,
-                        largest_component, proxy_weights)
+from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError, SeedGroup,
+                        evaluate_solution, largest_component, proxy_weights)
 from tensionkit.graph import hop_distance_matrix
 
 settings.register_profile(
@@ -467,3 +467,11 @@ def random_graph_and_profiles(rng: np.random.Generator, n_lo: int, n_hi: int,
     g = Graph(n, sorted(edges))
     X = rng.random((n, m_attrs))
     return g, X
+
+
+def edge_weights(g: Graph, mapping) -> EdgeWeights:
+    """``EdgeWeights`` from a weight for every edge of ``g``, keyed by its
+    ends in either order."""
+    w = {(min(e), max(e)): x for e, x in mapping.items()}
+    assert sorted(w) == g.edges(), "the mapping must key exactly the graph's edges"
+    return EdgeWeights(g, [w[e] for e in g.edges()])

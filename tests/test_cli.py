@@ -77,6 +77,12 @@ class TestConform:
         assert main(["conform", "--graph", g, "--profiles", x,
                      "--tol", "1e-12", "--max-iter", "1"]) == 3
 
+    @pytest.mark.parametrize("max_iter", ["0", "-4"])
+    def test_budget_below_one_iteration_exits_1(self, edge_pair, max_iter, caplog):
+        g, x = edge_pair
+        assert main(["conform", "--graph", g, "--profiles", x, "--max-iter", max_iter]) == 1
+        assert f"max_iter must be at least 1, not {max_iter}" in caplog.text
+
     def test_malformed_profiles_exit_1(self, tmp_path, path5):
         x = write(tmp_path / "bad.profiles", "0.1\nnope\n")
         assert main(["conform", "--graph", path5, "--profiles", x]) == 1
@@ -267,6 +273,18 @@ class TestTeam:
         skills = write(tmp_path / "s.skills", "0 a 4\n1 b 4\n")
         assert main(["team", "--graph", path5, "--scheme", "uniform",
                      "--skills", skills]) == 2
+
+    def test_negative_project_count_exits_1(self, tmp_path, path5, caplog):
+        skills = write(tmp_path / "s.skills", "0 a 4\n1 b 4\n2 c 4\n")
+        out = tmp_path / "team.csv"
+        assert main(["team", "--graph", path5, "--scheme", "uniform", "--skills", skills,
+                     "--n-projects", "-3", "--out", str(out)]) == 1
+        assert "--n-projects must be nonnegative, not -3" in caplog.text
+        assert not out.exists()
+        # no projects is allowed, as no sets per group is
+        assert main(["team", "--graph", path5, "--scheme", "uniform", "--skills", skills,
+                     "--n-projects", "0", "--out", str(out)]) == 0
+        assert read_rows(out) == [list(TEAM_COLUMNS)]
 
     def test_missing_skills_file_exits_1(self, path5):
         assert main(["team", "--graph", path5, "--scheme", "uniform"]) == 1

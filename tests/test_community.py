@@ -14,8 +14,8 @@ from tensionkit.community import PEEL_VARIANTS, seed_connector
 from tensionkit.conformation import DENSE_LIMIT
 from tensionkit.graph import path_distances
 
-from conftest import (adjacency_lists, oracle_is_connected, oracle_min_tension,
-                      oracle_tension, random_graph_and_profiles,
+from conftest import (adjacency_lists, edge_weights, oracle_is_connected,
+                      oracle_min_tension, oracle_tension, random_graph_and_profiles,
                       reference_peel_community)
 
 
@@ -192,8 +192,7 @@ class TestTreeCommunity:
 
     def test_explicit_weights_override_profiles(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        w = EdgeWeights.from_mapping(
-            g, {(0, 1): 0.9, (1, 2): 0.9, (2, 3): 0.1, (0, 3): 0.1})
+        w = edge_weights(g, {(0, 1): 0.9, (1, 2): 0.9, (2, 3): 0.1, (0, 3): 0.1})
         sol = tree_community(g, np.zeros((4, 1)), [0, 2], variant="weights", weights=w)
         assert sol.sorted_nodes() == [0, 2, 3]
 
@@ -389,7 +388,7 @@ def _peel_case(rng, family):
         ids = rng.permutation(n).tolist()
         w = {(min(ids[u], ids[v]), max(ids[u], ids[v])): x for (u, v), x in w.items()}
         g = Graph(n, list(w))
-        return g, rng.random((n, 1)), sorted([ids[0], ids[1]]), EdgeWeights.from_mapping(g, w)
+        return g, rng.random((n, 1)), sorted([ids[0], ids[1]]), edge_weights(g, w)
     if family == "path":
         n = int(rng.integers(2, 16))
         g = Graph(n, [(v, v + 1) for v in range(n - 1)])

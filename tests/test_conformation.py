@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tensionkit import (ConvergenceError, Graph, InputError, conform,
                         equilibrium_solve, node_tension, social_tension)
 from tensionkit.conformation import (DENSE_LIMIT, default_max_iter,
-                                     equilibrium_residual, equilibrium_tensions)
+                                     equilibrium_tensions)
 
 from conftest import oracle_tension, random_graph_and_profiles
 
@@ -64,7 +64,8 @@ class TestEquilibriumSolveFixtures:
         X = np.array([[0.0], [0.0], [1.0]])
         F = equilibrium_solve(g, X)
         assert np.allclose(F[:, 0], [0.25, 0.25, 0.5], atol=1e-12)
-        assert equilibrium_residual(g, X, F) < 1e-12
+        L = np.diag(g.degrees()) - g.adjacency_csr().toarray()
+        assert np.abs(F + L @ F - X).max() < 1e-12  # (I + L) F = X
 
     def test_edgeless_graph_identity(self):
         g = Graph(3, [])
@@ -168,6 +169,12 @@ class TestValidation:
         res = conform(g, np.array([0.0, 1.0]), tol=1e-10)
         assert np.allclose(res.conformed[:, 0], [1 / 3, 2 / 3], atol=1e-9)
 
+    @pytest.mark.parametrize("max_iter", [0, -4])
+    def test_budget_below_one_iteration_rejected(self, max_iter):
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(InputError, match=f"max_iter must be at least 1, not {max_iter}"):
+            conform(g, np.array([0.0, 1.0]), max_iter=max_iter)
+
     def test_default_max_iter_floor(self):
         assert default_max_iter(1) == 10_000
         assert default_max_iter(500) == 50_000
@@ -202,7 +209,7 @@ class TestProperties:
     def test_fixed_point_residual_below_tolerance(self, seed):
         g, X = _rand_instance(seed)
         res = conform(g, X, tol=1e-9)
-        assert equilibrium_residual(g, X, res.conformed) < 1e-9
+        assert np.abs(res.conformed - equilibrium_solve(g, X)).max() <= 1e-9
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40)

@@ -17,8 +17,7 @@ from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
                         evaluate_solution, generate_profiles, largest_component,
                         proxy_weights, sample_seed_groups, standardized_metrics,
                         tree_community)
-from tensionkit.evaluation import (_exponential_raw, _power_iteration_svd,
-                                   _top_left_singular_vectors,
+from tensionkit.evaluation import (_exponential_raw, _top_left_singular_vectors,
                                    mean_squared_weight, seed_tree_edge_count)
 from tensionkit.synthetic import block_incidence
 
@@ -32,23 +31,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 class TestMeanSquaredWeight:
     def test_single_edge(self):
         g = Graph(2, [(0, 1)])
-        w = EdgeWeights.from_mapping(g, {(0, 1): 0.5})
+        w = EdgeWeights(g, [0.5])
         assert mean_squared_weight(g, w) == pytest.approx(0.25, abs=1e-15)
 
     def test_equal_weights_give_square(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        w = EdgeWeights.from_mapping(g, {e: 0.3 for e in g.edges()})
+        w = EdgeWeights(g, [0.3] * g.edge_count)
         assert mean_squared_weight(g, w) == pytest.approx(0.09, abs=1e-15)
 
     def test_induced_subset(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        w = EdgeWeights.from_mapping(g, {(0, 1): 0.9, (1, 2): 0.1, (2, 3): 0.3})
+        w = EdgeWeights(g, [0.9, 0.1, 0.3])  # edges (0, 1), (1, 2), (2, 3)
         got = mean_squared_weight(g, w, nodes={1, 2, 3})
         assert got == pytest.approx((0.01 + 0.09) / 2, abs=1e-15)
 
     def test_no_edges_rejected(self):
         g = Graph(3, [(0, 1)])
-        w = EdgeWeights.from_mapping(g, {(0, 1): 0.5})
+        w = EdgeWeights(g, [0.5])
         with pytest.raises(InputError, match="no edges"):
             mean_squared_weight(g, w, nodes={2})
 
@@ -308,14 +307,31 @@ class TestGenerateProfiles:
 
 
 class TestSingularVectorHelpers:
-    def test_power_iteration_matches_dense_svd(self):
-        labels = np.array([0, 0, 0, 1, 1])
-        M, _ = block_incidence(labels, rng_seed=0, noise_per_node=0)
-        U_pi, S_pi = _power_iteration_svd(M, 2)
-        U_d, S_d, _ = np.linalg.svd(M.toarray(), full_matrices=False)
-        assert np.allclose(S_pi, S_d[:2], atol=1e-9)
-        for j in range(2):
-            assert abs(abs(float(U_pi[:, j] @ U_d[:, j])) - 1.0) < 1e-9
+    def test_sparse_branch_matches_dense_svd_on_equal_blocks(self):
+        # four equal blocks of 500 nodes padded with empty columns to
+        # 2 000 x 2 001, past the dense limit: the three near-equal block
+        # singular values defeat a power iteration; the padding adds only
+        # zero singular values, so the unpadded matrix is the reference
+        M, _ = block_incidence(np.arange(2000) // 500, rng_seed=0)
+        f = M.shape[1]
+        padded = sp.hstack([M, sp.csr_matrix((2000, 2001 - f))]).tocsr()
+        U, S = _top_left_singular_vectors(padded, 4)
+        S_d = np.linalg.svd(M.toarray(), compute_uv=False)
+        assert np.allclose(S, S_d[:4], rtol=1e-12, atol=0)
+        for j in range(4):
+            u = U[:, j]
+            assert np.linalg.norm(padded @ (padded.T @ u) - S[j] ** 2 * u) < 1e-12 * S[j] ** 2
+        X = generate_profiles(2000, 4, "eigenvector", incidence=padded)
+        assert X.shape == (2000, 4) and X.min() == 0.0 and X.max() == 1.0
+
+    def test_as_many_columns_as_the_short_side_solve_densely(self):
+        # svds needs k below min(n, f): a 4 000 001 x 1 incidence past the
+        # dense limit, asked for its one column, takes the dense branch
+        M = sp.csr_matrix(([3.0, 4.0], ([0, 4_000_000], [0, 0])), shape=(4_000_001, 1))
+        U, S = _top_left_singular_vectors(M, 1)
+        assert S.tolist() == [5.0]
+        assert np.allclose(U[[0, 4_000_000], 0], [0.6, 0.8], rtol=0, atol=1e-15)
+        assert np.count_nonzero(U) == 2
 
     def test_sign_convention_is_deterministic(self):
         M = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))

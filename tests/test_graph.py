@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError, graph,
                         induced_subgraph, largest_component, seed_connector)
-from tensionkit.graph import (MAX_NODES, connected_components,
-                              hop_distance_matrix, minimum_spanning_tree,
-                              path_distances, shortest_path)
+from tensionkit.graph import (MAX_NODES, hop_distance_matrix, minimum_spanning_tree,
+                              path_distances)
 from tensionkit.synthetic import gnm_graph
 
-from conftest import (OracleUnionFind, adjacency_lists, oracle_is_connected,
+from conftest import (OracleUnionFind, adjacency_lists, edge_weights,
                       random_graph_and_profiles, reference_components, reference_csr,
                       reference_graph, reference_path_distances)
 
@@ -48,7 +47,7 @@ class TestGraphConstruction:
     def test_neighbors_sorted(self):
         g = Graph(5, [(0, 4), (0, 2), (0, 1)])
         assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [1, 2, 4]
-        assert g.degree(0) == 3 and g.degree(3) == 0
+        assert g.degrees()[[0, 3]].tolist() == [3, 0]
 
     def test_self_loop_rejected(self):
         with pytest.raises(InputError, match="self-loop"):
@@ -64,7 +63,7 @@ class TestGraphConstruction:
 
     def test_single_node_no_edges(self):
         g = Graph(1, [])
-        assert g.edge_count == 0 and g.degree(0) == 0
+        assert g.edge_count == 0 and g.degrees().tolist() == [0]
 
     def test_degrees_and_edge_array(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -100,8 +99,6 @@ class TestMatchesReferenceConstruction:
         assert g.edges() == ref_edges and g.edge_count == len(ref_edges)
         assert g.edge_array().tolist() == [list(e) for e in ref_edges]
         assert adjacency_lists(g) == ref_adj
-        for i in range(n):
-            assert g.degree(i) == len(ref_adj[i])
         assert g.degrees().tolist() == [len(a) for a in ref_adj]
 
         values = np.array(data.draw(st.lists(
@@ -116,7 +113,6 @@ class TestMatchesReferenceConstruction:
             assert got.data.tolist() == want.data.tolist()  # explicit zeros kept
 
         comps = reference_components(ref_adj)
-        assert connected_components(g) == comps
         assert largest_component(g) == max(comps, key=lambda c: (len(c), -c[0]))
 
         keep = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
@@ -178,19 +174,12 @@ class TestEdgeWeights:
         with pytest.raises(InputError, match="finite"):
             EdgeWeights(g, np.array([0.5, bad]))
 
-    def test_get_is_order_insensitive(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        w = EdgeWeights(g, np.array([0.25, 0.75]))
-        assert w.get(1, 0) == 0.25 and w.get(1, 2) == 0.75
-        with pytest.raises(InputError, match=r"no weight for non-edge \(0, 2\)"):
-            w.get(2, 0)
-
     def test_with_zeroed(self):
         g = Graph(3, [(0, 1), (1, 2)])
         w = EdgeWeights(g, np.array([0.25, 0.75]))
         z = w.with_zeroed([(2, 1)])
-        assert z.get(1, 2) == 0.0 and z.get(0, 1) == 0.25
-        assert w.get(1, 2) == 0.75  # original untouched
+        assert z.values.tolist() == [0.25, 0.0]
+        assert w.values.tolist() == [0.25, 0.75]  # original untouched
 
     def test_with_zeroed_non_edge_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -201,13 +190,6 @@ class TestEdgeWeights:
         with pytest.raises(InputError, match="non-edge"):
             w.with_zeroed([(0, 5)])
         assert w.with_zeroed([]).values.tolist() == [0.25, 0.75]
-
-    def test_from_mapping_non_edge_rejected(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(InputError, match=r"weight given for non-edge \(0, 2\)"):
-            EdgeWeights.from_mapping(g, {(1, 0): 0.5, (2, 0): 1.0})
-        w = EdgeWeights.from_mapping(g, {(2, 1): 0.5})
-        assert w.values.tolist() == [0.0, 0.5]
 
 
 # -- induced subgraphs --------------------------------------------------------
@@ -262,8 +244,6 @@ class TestInducedSubgraph:
 class TestConnectivity:
     def test_components_and_largest(self):
         g = Graph(6, [(0, 1), (2, 3), (3, 4)])
-        comps = connected_components(g)
-        assert sorted(map(sorted, comps)) == [[0, 1], [2, 3, 4], [5]]
         assert largest_component(g) == [2, 3, 4]
 
     def test_largest_component_tie_prefers_lowest_ids(self):
@@ -276,33 +256,32 @@ class TestConnectivity:
 class TestShortestPaths:
     def test_unit_path_graph(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        path, length = shortest_path(g, 0, 2)
+        path, length = _walk(g, 0, 2)
         assert path == [0, 1, 2] and length == 2.0
 
     def test_src_equals_dst(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        path, length = shortest_path(g, 1, 1)
+        path, length = _walk(g, 1, 1)
         assert path == [1] and length == 0.0
 
     def test_weighted_four_cycle(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        w = EdgeWeights.from_mapping(
-            g, {(0, 1): 0.1, (1, 2): 0.1, (2, 3): 0.9, (3, 0): 0.9})
-        path, length = shortest_path(g, 0, 2, weights=w)
+        w = edge_weights(g, {(0, 1): 0.1, (1, 2): 0.1, (2, 3): 0.9, (3, 0): 0.9})
+        path, length = _walk(g, 0, 2, weights=w)
         assert path == [0, 1, 2]
         assert length == pytest.approx(0.2, abs=1e-12)
 
     def test_hop_tie_broken_lexicographically(self):
         # 0-1-2 and 0-3-2 tie on hops; [0,1,2] is the smaller sequence
         g = Graph(4, [(0, 1), (1, 2), (0, 3), (2, 3)])
-        path, length = shortest_path(g, 0, 2)
+        path, length = _walk(g, 0, 2)
         assert path == [0, 1, 2] and length == 2.0
 
     def test_equal_weight_tie_prefers_fewer_hops(self):
         # 0-2 direct edge weighs as much as the 0-1-2 detour
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        w = EdgeWeights.from_mapping(g, {(0, 1): 0.1, (1, 2): 0.1, (0, 2): 0.2})
-        path, length = shortest_path(g, 0, 2, weights=w)
+        w = edge_weights(g, {(0, 1): 0.1, (1, 2): 0.1, (0, 2): 0.2})
+        path, length = _walk(g, 0, 2, weights=w)
         assert path == [0, 2]
         assert length == pytest.approx(0.2, abs=1e-12)
 
@@ -317,13 +296,14 @@ class TestShortestPaths:
         rng = np.random.default_rng(5 + g.node_count)
         w = EdgeWeights(g, rng.random(g.edge_count))
         dst = g.node_count - 1
-        path, length = shortest_path(g, 0, dst, weights=w)
+        path, length = _walk(g, 0, dst, weights=w)
         assert path[0] == 0 and path[-1] == dst
-        total = sum(w.get(a, b) for a, b in zip(path, path[1:]))
+        weight = dict(zip(g.edges(), w.values.tolist()))
+        total = sum(weight[min(a, b), max(a, b)] for a, b in zip(path, path[1:]))
         assert total == pytest.approx(length, rel=1e-9)
         if g.node_count <= 8:
             best = min(
-                (sum(w.get(a, b) for a, b in zip(p, p[1:]))
+                (sum(weight[min(a, b), max(a, b)] for a, b in zip(p, p[1:]))
                  for p in _all_simple_paths(g, 0, dst)),
                 default=np.inf)
             assert length == pytest.approx(best, rel=1e-9)
@@ -387,23 +367,22 @@ class TestDistancesMatchReference:
         # pick [0, 1, 2, 3], the hop count picks [0, 4, 3].  The 0-5-3 detour
         # weighs 2, so a CSR that dropped its zero entries would pick it.
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 4), (0, 5), (3, 5)])
-        w = EdgeWeights.from_mapping(g, {(0, 1): 0.0, (1, 2): 0.0, (2, 3): 0.0,
-                                         (0, 4): 0.0, (3, 4): 0.0,
-                                         (0, 5): 1.0, (3, 5): 1.0})
+        w = edge_weights(g, {(0, 1): 0.0, (1, 2): 0.0, (2, 3): 0.0,
+                             (0, 4): 0.0, (3, 4): 0.0, (0, 5): 1.0, (3, 5): 1.0})
         dist_w, dist_h = path_distances(g, 3, w)
         assert dist_w.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
         assert dist_h.tolist() == [2, 2, 1, 0, 1, 1]
-        assert shortest_path(g, 0, 3, weights=w) == ([0, 4, 3], 0.0)
+        assert _walk(g, 0, 3, weights=w) == ([0, 4, 3], 0.0)
 
     def test_near_tie_is_not_tight(self):
         # 0-3-4-1 sums to 0.3 in three hops; 0-2-1 sums to 0.1 + 0.2, one
         # ulp above 0.3, in two.  Only exact equality keeps the three hops.
         g = Graph(5, [(0, 2), (1, 2), (0, 3), (3, 4), (1, 4)])
-        w = EdgeWeights.from_mapping(g, {(0, 2): 0.1, (1, 2): 0.2, (0, 3): 0.3,
-                                         (3, 4): 0.0, (1, 4): 0.0})
+        w = edge_weights(g, {(0, 2): 0.1, (1, 2): 0.2, (0, 3): 0.3,
+                             (3, 4): 0.0, (1, 4): 0.0})
         dist_w, dist_h = path_distances(g, 0, w)
         assert dist_w[1] == 0.3 and dist_h[1] == 3
-        assert shortest_path(g, 1, 0, weights=w) == ([1, 4, 3, 0], 0.3)
+        assert _walk(g, 1, 0, weights=w) == ([1, 4, 3, 0], 0.3)
 
     @pytest.mark.parametrize("g", [_path_graph(3000), _broom(3000, 500)],
                              ids=["path", "broom"])
@@ -445,7 +424,7 @@ class TestDistancesMatchReference:
         zeros = [(i, i + 1) for i in range(n - 1)] + [(0, 300), (150, 450)]
         w = {e: 0.0 for e in zeros} | {(0, n - 1): 1.0, (n - 1, n): 0.5}
         g = Graph(n + 1, w)
-        w = EdgeWeights.from_mapping(g, w)
+        w = edge_weights(g, w)
         for src in (0, 75, 300, n - 1, n):
             _assert_matches_reference(g, src, w)
         assert path_distances(g, 0, w)[1].max() > 100
@@ -458,9 +437,8 @@ class TestPathWalkIsTight:
     def test_near_tie_four_cycle(self):
         # 0-1-3 sums to 0.1 + 0.2 = 0.30000000000000004; 0-2-3 to exactly 0.3
         g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-        w = EdgeWeights.from_mapping(g, {(0, 1): 0.1, (1, 3): 0.2, (0, 2): 0.3,
-                                         (2, 3): 0.0})
-        assert shortest_path(g, 0, 3, weights=w) == ([0, 2, 3], 0.3)
+        w = edge_weights(g, {(0, 1): 0.1, (1, 3): 0.2, (0, 2): 0.3, (2, 3): 0.0})
+        assert _walk(g, 0, 3, weights=w) == ([0, 2, 3], 0.3)
         assert seed_connector(g, [0, 3], w) == ({0, 2, 3}, {(0, 2), (2, 3)})
 
     @pytest.mark.parametrize("kind", ["tenths", "binary", "hops"])
@@ -477,16 +455,18 @@ class TestPathWalkIsTight:
                                           None if w is None else w.values)
         if dh[src] < 0:
             with pytest.raises(InfeasibleError):
-                shortest_path(g, src, dst, weights=w)
+                _walk(g, src, dst, weights=w)
             return
 
+        weight = dict(zip(g.edges(), [1.0] * g.edge_count if w is None else w.values.tolist()))
+
         def tight(u, v):
-            w_uv = 1.0 if w is None else w.get(u, v)
+            w_uv = weight[min(u, v), max(u, v)]
             return dh[v] == dh[u] - 1 and dw[v] + w_uv == dw[u]
 
         walks = [p for p in _all_simple_paths(g, src, dst)
                  if all(tight(u, v) for u, v in zip(p, p[1:]))]
-        assert shortest_path(g, src, dst, weights=w) == (min(walks), dw[src])
+        assert _walk(g, src, dst, weights=w) == (min(walks), dw[src])
 
 
 # PULL_FACTOR values that make every level of a pair search push, every
@@ -611,6 +591,14 @@ class TestPairHopDistances:
             graph.pair_hop_distances(g, [0, 1], [2])
 
 
+def _walk(g, src, dst, weights=None):
+    """The path walk from ``src`` to ``dst`` and its length: the tight walk
+    of ``graph._reconstruct_path`` over the distances ``path_distances``
+    computes from ``dst``, as ``seed_connector`` runs it."""
+    dw, dh = path_distances(g, dst, weights)
+    return graph._reconstruct_path(g, src, dst, dw, dh, weights), float(dw[src])
+
+
 def _assert_matches_reference(g, src, weights=None):
     ref_w, ref_h = reference_path_distances(
         g.node_count, g.edges(), src, None if weights is None else weights.values)
@@ -675,13 +663,3 @@ def _spans(edge_combo, nodes):
         uf.union(a, b)
     return len({uf.find(v) for v in nodes}) == 1
 
-
-# -- independent-route cross-check -------------------------------------------
-
-@given(graphs(max_nodes=25))
-def test_components_partition_matches_oracle(g):
-    comps = connected_components(g)
-    flat = sorted(v for comp in comps for v in comp)
-    assert flat == list(range(g.node_count))
-    for comp in comps:
-        assert oracle_is_connected(g.node_count, g.edges(), comp)

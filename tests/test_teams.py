@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
-                        SkillMap, community_solver, conformation,
-                        evaluate_solution, form_team, greedy_fixed_size,
-                        largest_component, proxy_weights, teams)
+from tensionkit import (Graph, InfeasibleError, InputError, SkillMap,
+                        community_solver, conformation, evaluate_solution,
+                        form_team, greedy_fixed_size, largest_component,
+                        proxy_weights, teams)
 from tensionkit.community import PEEL_VARIANTS, TREE_VARIANTS
 from tensionkit.teams import skill_extended_graph
 
-from conftest import (oracle_is_connected, oracle_tension,
+from conftest import (edge_weights, oracle_is_connected, oracle_tension,
                       random_graph_and_profiles, reference_greedy_sets)
 
 ALL_SOLVERS = [("tree", v) for v in TREE_VARIANTS] + [("peel", v) for v in PEEL_VARIANTS]
@@ -62,7 +62,7 @@ class TestSkillExtendedGraph:
         g = Graph(3, [(0, 1), (1, 2)])
         skills = SkillMap.from_counts(3, [(0, "a", 4), (2, "a", 4)])
         ext, ids, _ = skill_extended_graph(g, skills, np.zeros((3, 1)))
-        assert ext.degree(ids["a"]) == 2
+        assert ext.degrees()[ids["a"]] == 2
 
     def test_skill_node_profile_is_holder_mean(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -415,7 +415,7 @@ class TestLockstepGrowthMatchesReference:
              (1, 5): eps, (2, 5): eps, (3, 5): eps,
              (4, 9): 1.0, (1, 4): 2.0 ** -26}
         g = Graph(10, list(w))
-        weights = EdgeWeights.from_mapping(g, w)
+        weights = edge_weights(g, w)
         X = np.zeros((10, 1))
         assert_grows_like_reference(g, X, 5, weights=weights)
         with pytest.MonkeyPatch.context() as mp:
