@@ -153,16 +153,6 @@ def _load_working_profiles(args, g_full: Graph, olds: list[int]) -> np.ndarray:
     return fileio.read_profiles(args.profiles, g_full.node_count)[olds]
 
 
-def _write_rows(out, columns, rows) -> None:
-    if out is None:
-        print(",".join(columns))
-        for r in rows:
-            print(",".join(str(x) for x in r))
-        return
-    fileio.ensure_parent(out)
-    fileio.write_csv(out, columns, rows)
-
-
 def _ok_cells(met, sol, t0: float, timing: bool) -> list[str]:
     seconds = f"{time.perf_counter() - t0:.4f}" if timing else ""
     return [_fmt(met.tau), _fmt(met.mpe), _fmt(met.mpc), _fmt(met.raw_tension),
@@ -467,7 +457,7 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         result = COMMANDS[args.command][0](args)
         if result is not None:
-            _write_rows(args.out, *result)
+            fileio.write_csv(args.out, *result)
         return 0
     except InputError as e:
         log.error("input error: %s", e)
@@ -476,8 +466,7 @@ def main(argv=None) -> int:
         log.error("infeasible: %s", e)
         return 2
     except ConvergenceError as e:
-        log.error("non-convergence: %s (residual %.3e after %d iterations)",
-                  e, e.residual, e.iterations)
+        log.error("non-convergence: %s", e)
         return 3
     except OSError as e:
         log.error("i/o error: %s", e)

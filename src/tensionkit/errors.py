@@ -17,9 +17,9 @@ class InfeasibleError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted before reaching the requested tolerance.
+    """A solver exhausted its budget or its answer failed a residual check.
 
-    Carries the last iterate so callers can inspect how close the run got.
+    Carries the last iterate (or None) so callers can inspect how close the run got.
     """
 
     def __init__(self, message: str, profiles, residual: float, iterations: int):

@@ -22,10 +22,10 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .community import Solution, seed_connector
-from .errors import InfeasibleError, InputError
+from .errors import ConvergenceError, InfeasibleError, InputError
 from .graph import EdgeWeights, Graph, largest_component, pair_hop_distances
 
 PROFILE_SCHEMES = ("uniform", "exponential", "thresholded", "eigenvector")
@@ -157,31 +157,36 @@ def _top_left_singular_vectors(M, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k > min(n, f):
         raise InputError(
             f"requested {k} attribute columns but the incidence matrix only supports {min(n, f)}")
+    if not np.isfinite(M.data if sp.issparse(M) else M).all():  # LAPACK can hang on inf
+        raise InputError("incidence entries must be finite (summed counts included)")
     # svds needs k < min(n, f); at k == min(n, f) the dense matrix holds
     # only k * max(n, f) entries
-    if n * f <= 4_000_000 or k == min(n, f):
-        dense = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
-        U, S, _ = np.linalg.svd(dense, full_matrices=False)
-        U, S = U[:, :k], S[:k]
-    else:
-        U, S, _ = svds(M, k, v0=np.random.default_rng(0x5EED).standard_normal(min(n, f)))
-        order = np.argsort(-S, kind="stable")
-        U, S = U[:, order], S[order]
+    try:
+        if n * f <= 4_000_000 or k == min(n, f):
+            dense = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
+            U, S, _ = np.linalg.svd(dense, full_matrices=False)
+            U, S = U[:, :k], S[:k]
+        else:
+            U, S, _ = svds(M, k, v0=np.random.default_rng(0x5EED).standard_normal(min(n, f)))
+            order = np.argsort(-S, kind="stable")
+            U, S = U[:, order], S[order]
+    except (np.linalg.LinAlgError, ArpackNoConvergence) as e:
+        raise ConvergenceError(f"singular vectors: {e}", None, math.nan, 0) from None
     # deterministic sign: the largest-magnitude entry of each vector is nonnegative
+    U *= np.where(U[np.abs(U).argmax(axis=0), range(k)] < 0, -1.0, 1.0)
+    # verify the eigen-residual of M M^T on each returned vector, with M
+    # and S over the top singular value so that no product overflows
+    top = S.max(initial=0.0) or 1.0
+    M = M / top
     for j in range(k):
-        col = U[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            U[:, j] = -col
-    # verify the eigen-residual of M M^T on each returned vector
-    for j in range(k):
-        sigma2 = S[j] ** 2
+        sigma2 = (S[j] / top) ** 2
         if sigma2 <= 0:
             continue
         u = U[:, j]
         resid = np.linalg.norm(M @ (M.T @ u) - sigma2 * u) / sigma2
-        if resid >= 1e-6:
-            raise RuntimeError(f"singular vector {j} failed the residual check ({resid:.2e})")
+        if not resid < 1e-6:  # NaN fails too
+            raise ConvergenceError(f"singular vector {j} failed the residual check "
+                                   f"({resid:.2e})", U, resid, 0)
     return U, S
 
 
@@ -217,10 +222,5 @@ def generate_profiles(n: int, m: int, scheme: str, rng_seed: int = 0,
     if incidence.shape[0] != n:
         raise InputError("incidence matrix row count does not match n")
     U, _ = _top_left_singular_vectors(incidence, m)
-    X = np.empty((n, m))
-    for j in range(m):
-        col = U[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        span = hi - lo
-        X[:, j] = (col - lo) / span if span > 0 else 0.0
-    return X
+    lo, span = U.min(axis=0), np.ptp(U, axis=0)
+    return np.where(span > 0, (U - lo) / np.where(span > 0, span, 1.0), 0.0)

@@ -14,8 +14,10 @@ valid; it only makes valid input fast.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import sys
 import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -226,6 +228,8 @@ def read_incidence(path, node_count: int | None = None
             raise InputError(f"{path}:{lineno}: bad node id or count") from None
         if node < 0:
             raise InputError(f"{path}:{lineno}: node ids must be nonnegative")
+        if not np.isfinite(count):
+            raise InputError(f"{path}:{lineno}: count {parts[2]} is not finite")
         raw.append((node, parts[1], count))
         labels.add(parts[1])
         max_id = max(max_id, node)
@@ -244,10 +248,13 @@ def read_incidence(path, node_count: int | None = None
 
 
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    """CSV to ``path`` (its folder made as needed), or to stdout with ``\\n``
+    line ends when ``path`` is None."""
+    if path is not None:
+        ensure_parent(path)
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        csv.writer(fh, lineterminator="\n" if path is None else "\r\n").writerows([columns, *rows])
 
 
 def ensure_parent(path) -> None:

@@ -8,8 +8,8 @@ vectorized pass: the canonical edges ``u < v`` sorted by their keys ``u * n
 ascending in each row, and ``edge_ids``, the edge of each CSR entry, so a
 weight vector becomes CSR data as ``values[edge_ids]``.  Sorted neighbors
 make every traversal, and every tie-break on top of one, deterministic.
-``_up`` holds where each node's block of edges to higher ids starts in the
-edge order, so ``edges_within`` reads a member's block with no search.
+``edges_within`` finds a member's block of edges to higher ids by a binary
+search of the keys.
 scipy copies the index arrays to int32 in each ``csr_matrix`` it hands to
 ``csgraph``, hence ``MAX_NODES``, which also keeps the keys within int64;
 below it, a graph still allocates O(node count).
@@ -87,7 +87,7 @@ class Graph:
     collapse into one edge."""
 
     __slots__ = ("node_count", "edge_count", "indptr", "indices", "edge_ids",
-                 "_edge_array", "_keys", "_up", "_edges", "_csr")
+                 "_keys", "_csr")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if node_count < 1:
@@ -124,26 +124,21 @@ class Graph:
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
         self.indices = cols[order]
         self.edge_ids = order % max(m, 1)  # entry k of either half is edge k
-        self._edge_array = np.column_stack([lo, hi])
         self._keys = keys
-        self._up = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(lo, minlength=n), out=self._up[1:])
-        self._edges = self._csr = None
+        self._csr = None
 
     # -- basic accessors -------------------------------------------------
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        if self._edges is None:
-            self._edges = list(zip(*self._edge_array.T.tolist()))
-        return self._edges
+        return list(zip(*self.edge_array().T.tolist()))
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (E, 2) int array, rows in :meth:`edges` order."""
-        return self._edge_array
+        return np.column_stack(np.divmod(self._keys, self.node_count))
 
     def edges_within(self, nodes: Iterable[int]) -> np.ndarray:
         """Ascending positions in :meth:`edge_array` of the edges with both
@@ -154,12 +149,12 @@ class Graph:
         keep = np.zeros(self.node_count, dtype=bool)
         keep[np.fromiter(nodes, dtype=np.int64)] = True
         members = np.flatnonzero(keep)
-        lo, hi = self._up[members], self._up[members + 1]
-        ea = self._edge_array
+        lo, hi = self._keys.searchsorted(np.stack([members, members + 1]) * self.node_count)
         if 3 * (hi - lo).sum() > self.edge_count:
-            return np.flatnonzero(keep[ea[:, 0]] & keep[ea[:, 1]])
+            u, v = np.divmod(self._keys, self.node_count)
+            return np.flatnonzero(keep[u] & keep[v])
         pos = _ranges(lo, hi)
-        return pos[keep[ea[pos, 1]]]
+        return pos[keep[self._keys[pos] % self.node_count]]
 
     def adjacency_csr(self) -> sp.csr_matrix:
         if self._csr is None:
@@ -247,7 +242,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
         raise InputError("node set contains ids outside the graph")
     remap = np.full(g.node_count, -1, dtype=np.int64)
     remap[olds] = np.arange(len(olds))
-    inside = remap[g.edge_array()[g.edges_within(olds)]]
+    inside = remap[np.column_stack(np.divmod(g._keys[g.edges_within(olds)], g.node_count))]
     return Graph(len(olds), inside), olds
 
 

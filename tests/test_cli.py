@@ -6,17 +6,23 @@ end: the installed executable when it is on PATH, otherwise the declared
 target launched from the source tree the way pip's generated launcher does.
 """
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensionkit import community
 from tensionkit.cli import BENCH_COLUMNS, METRIC_COLUMNS, TEAM_COLUMNS, main
@@ -269,6 +275,22 @@ class TestTeam:
         r = read_rows(out)[1]
         assert r[11] == "non-convergence: stuck" and r[4] == "" and r[12] == ""
 
+    def test_stdout_rows_are_quoted_like_the_file(self, tmp_path, path5, capsys):
+        # the unknown label "x,y" reaches the status column of both outputs
+        skills = write(tmp_path / "s.skills", "0 a 4\n")
+        proj = write(tmp_path / "p.project", "a x,y\n")
+        argv = ["team", "--graph", path5, "--scheme", "uniform", "--skills", skills,
+                "--project", proj, "--variant", "tree-hops", "--no-timing"]
+        out = tmp_path / "team.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(printed)))
+        assert all(len(r) == len(TEAM_COLUMNS) for r in rows)
+        assert rows == read_rows(out) and rows[1][11] == "unknown skill 'x,y'"
+        assert "\r" not in printed
+
     def test_too_few_skills_to_sample_exits_2(self, tmp_path, path5):
         skills = write(tmp_path / "s.skills", "0 a 4\n1 b 4\n")
         assert main(["team", "--graph", path5, "--scheme", "uniform",
@@ -348,6 +370,45 @@ class TestGenProfilesAndSampleSeeds:
         assert a.read_bytes() == b.read_bytes()
         X = read_profiles(a, expected_nodes=5)
         assert X.shape == (5, 2)
+
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_incidence_count_exits_1(self, tmp_path, path5, count, caplog):
+        inc = write(tmp_path / "x.incidence", f"0 f 1\n1 f {count}\n2 g 2\n")
+        out = tmp_path / "x.profiles"
+        assert main(["gen-profiles", "--graph", path5, "--scheme", "eigenvector",
+                     "--incidence", inc, "--out", str(out)]) == 1
+        assert f"x.incidence:2: count {count} is not finite" in caplog.text
+        assert not out.exists()
+
+    def test_counts_summing_past_the_float_range_exit_1(self, tmp_path, path5):
+        # node 0's two "f" counts sum to inf; a dense SVD of this matrix
+        # with inf in it never returned, so it runs in a child with a timeout
+        inc = write(tmp_path / "x.incidence",
+                    "0 f 1e200\n0 f 1e308\n0 h 0.5\n1 h 2\n0 f 1e308\n4 h -3\n2 g 0.5\n")
+        out = tmp_path / "x.profiles"
+        run = subprocess.run(
+            [sys.executable, "-m", "tensionkit.cli", "gen-profiles", "--graph", path5,
+             "--scheme", "eigenvector", "--attrs", "2", "--incidence", inc, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=60)
+        assert run.returncode == 1
+        assert "incidence entries must be finite" in run.stderr
+        assert not out.exists()
+
+    def test_failed_singular_vector_exits_3(self, tmp_path, path5, monkeypatch, caplog):
+        real_svd = np.linalg.svd
+
+        def perturbed(a, full_matrices=True):
+            U, S, Vt = real_svd(a, full_matrices=full_matrices)
+            return U + 1e-3, S, Vt
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+        inc = write(tmp_path / "x.incidence", "0 f\n1 f\n2 g\n3 g 2\n4 h\n")
+        out = tmp_path / "x.profiles"
+        assert main(["gen-profiles", "--graph", path5, "--scheme", "eigenvector",
+                     "--incidence", inc, "--out", str(out)]) == 3
+        assert "non-convergence: singular vector 0 failed the residual check" in caplog.text
+        assert not out.exists()
 
     def test_gen_profiles_needs_out(self, path5):
         assert main(["gen-profiles", "--graph", path5, "--scheme", "uniform"]) == 1
@@ -501,6 +562,76 @@ def test_help_lists_exactly_the_subcommands_flags(command, capsys):
         main([command, "--help"])
     listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
     assert listed == ["--config"] + [f"--{name}" for name in HELP_FLAGS[command].split()]
+
+
+# -- hostile files: a documented exit code, never an exception --------------
+
+COUNTS = ["1", "2", "0", "-3", "0.5", "1e10", "1e-10", "1e200", "1e308", "1e400",
+          "nan", "NaN", "inf", "-inf", "x", "1.5.2", ""]
+LABELS = st.text(alphabet='ab,"', min_size=1, max_size=3)
+
+
+def run_main(argv):
+    """``main(argv)``'s return code and what it printed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        rc = main(argv)
+    return rc, printed.getvalue()
+
+
+@st.composite
+def incidence_files(draw):
+    """Incidence text for a 5-node graph: ids out of range and non-finite,
+    negative, huge or malformed counts; returns it and whether some count
+    parses to a non-finite float."""
+    lines, non_finite = [], False
+    for _ in range(draw(st.integers(1, 8))):
+        node, count = draw(st.integers(-1, 6)), draw(st.sampled_from(COUNTS))
+        lines.append(f"{node} {draw(st.sampled_from('fgh'))} {count}".rstrip())
+        try:
+            non_finite |= not math.isfinite(float(count))
+        except ValueError:
+            pass
+    return "\n".join(lines) + "\n", non_finite
+
+
+@given(incidence_files(), st.sampled_from(["1", "2"]))
+@settings(max_examples=80)
+def test_hostile_incidence_files(case, attrs):
+    text, non_finite = case
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = write(Path(tmp) / "g.edges", "0 1\n1 2\n2 3\n3 4\n")
+        inc = write(Path(tmp) / "x.incidence", text)
+        out = Path(tmp) / "x.profiles"
+        rc, _ = run_main(["gen-profiles", "--graph", graph, "--scheme", "eigenvector",
+                          "--attrs", attrs, "--incidence", inc, "--out", str(out)])
+        assert rc in (0, 1, 2, 3)
+        if non_finite:
+            assert rc == 1
+        if rc == 0:
+            assert read_profiles(out, 5).shape == (5, int(attrs))
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), LABELS, st.sampled_from(["1", "4", "9"]))
+                | st.just(None), min_size=1, max_size=6),
+       st.lists(LABELS, min_size=1, max_size=4), st.booleans())
+@settings(max_examples=60)
+def test_hostile_team_files(entries, project, blank_lines):
+    gap = "\n" if blank_lines else ""
+    skills = "".join(gap + ("" if e is None else " ".join(map(str, e))) + "\n"
+                     for e in entries)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = write(Path(tmp) / "g.edges", "0 1\n1 2\n2 3\n3 4\n")
+        sk = write(Path(tmp) / "s.skills", skills)
+        proj = write(Path(tmp) / "p.project", gap + " ".join(project) + "\n" + gap)
+        rc, printed = run_main(["team", "--graph", graph, "--scheme", "uniform",
+                                "--skills", sk, "--project", proj, "--variant", "tree-hops",
+                                "--variant", "peel-sum"])
+    assert rc in (0, 1, 2, 3)
+    rows = list(csv.reader(io.StringIO(printed)))
+    assert all(len(r) == len(TEAM_COLUMNS) for r in rows)
+    if rc == 0:
+        assert rows[0] == list(TEAM_COLUMNS) and len(rows) == 3
 
 
 def console_script_command(name):

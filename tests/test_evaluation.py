@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError,
+from tensionkit import (ConvergenceError, EdgeWeights, Graph, InfeasibleError, InputError,
                         evaluate_solution, generate_profiles, largest_component,
                         proxy_weights, sample_seed_groups, standardized_metrics,
                         tree_community)
+from tensionkit import evaluation
 from tensionkit.evaluation import (_exponential_raw, _top_left_singular_vectors,
                                    mean_squared_weight, seed_tree_edge_count)
 from tensionkit.synthetic import block_incidence
@@ -340,3 +342,37 @@ class TestSingularVectorHelpers:
         # the dominant entry of each vector comes out nonnegative
         assert U[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert U[1, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSingularVectorFailures:
+    """A decomposition that fails to converge, or whose vectors fail the
+    residual check, raises ConvergenceError in both branches."""
+
+    def test_dense_residual_failure(self, monkeypatch):
+        real_svd = np.linalg.svd
+
+        def perturbed(a, full_matrices=True):
+            U, S, Vt = real_svd(a, full_matrices=full_matrices)
+            return U + 1e-3, S, Vt
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+        with pytest.raises(ConvergenceError, match="residual check") as exc:
+            _top_left_singular_vectors(sp.csr_matrix(np.arange(12.0).reshape(4, 3)), 1)
+        assert exc.value.residual >= 1e-6
+
+    @pytest.mark.parametrize("failure", ["no-convergence", "perturbed"])
+    def test_sparse_branch(self, monkeypatch, failure):
+        # 2500 x 2000 is above the dense branch's 4 000 000 entries
+        M = sp.random(2500, 2000, density=1e-3, format="csr", random_state=0)
+        real_svds = evaluation.svds
+
+        def fake(A, k, v0):
+            if failure == "no-convergence":
+                raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                          np.empty(0), np.empty((0, 0)))
+            U, S, Vt = real_svds(A, k, v0=v0)
+            return U + 1e-3, S, Vt
+
+        monkeypatch.setattr(evaluation, "svds", fake)
+        with pytest.raises(ConvergenceError, match="No convergence|residual check"):
+            _top_left_singular_vectors(M, 2)

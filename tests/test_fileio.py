@@ -386,6 +386,13 @@ class TestIncidence:
         M, _ = read_incidence(p, node_count=4)
         assert M.shape == (4, 1)
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_count_rejected(self, tmp_path, count):
+        p = tmp_path / "inc.txt"
+        p.write_text(f"0 f 2\n# note\n1 g {count}\n")
+        with pytest.raises(InputError, match=f"inc.txt:3: count {count} is not finite"):
+            read_incidence(p)
+
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "inc.txt"
         p.write_text("# none\n")
