@@ -175,7 +175,10 @@ def _top_left_singular_vectors(M, k: int) -> tuple[np.ndarray, np.ndarray]:
     # deterministic sign: the largest-magnitude entry of each vector is nonnegative
     U *= np.where(U[np.abs(U).argmax(axis=0), range(k)] < 0, -1.0, 1.0)
     # verify the eigen-residual of M M^T on each returned vector, with M
-    # and S over the top singular value so that no product overflows
+    # and S over the top singular value so that no product overflows; the
+    # residual is a backward error relative to sigma_1^2 (1 after the
+    # scaling), since a correct vector's error scales with sigma_1^2, not
+    # with its own sigma_j^2
     top = S.max(initial=0.0) or 1.0
     M = M / top
     for j in range(k):
@@ -183,7 +186,7 @@ def _top_left_singular_vectors(M, k: int) -> tuple[np.ndarray, np.ndarray]:
         if sigma2 <= 0:
             continue
         u = U[:, j]
-        resid = np.linalg.norm(M @ (M.T @ u) - sigma2 * u) / sigma2
+        resid = np.linalg.norm(M @ (M.T @ u) - sigma2 * u)
         if not resid < 1e-6:  # NaN fails too
             raise ConvergenceError(f"singular vector {j} failed the residual check "
                                    f"({resid:.2e})", U, resid, 0)

@@ -26,12 +26,13 @@ a 20 k-node random graph (2.1 vs 6.4 ms a source) and loses on a 200 k-node
 path (25 vs 8 ms), a bounded factor.
 ``pair_hop_distances`` answers a list of ``(source, target)`` pairs, as seed
 sampling needs, without a row per source: a multi-source BFS with one bit
-per source (Then et al., VLDB 2014).  A batch of ``64 * words`` sources
-keeps ``seen``, an ``(n, words)`` uint64 array, and a frontier of nodes
-with the words they gained at the last level.  A level finds the words
-arriving at each node, masks them with ``~seen`` and keeps the nonzero
-rows; a pair resolves at the level where its target's row gains its
-source's bit.  Each level picks a direction (Beamer, Asanovic and Patterson,
+per source (Then et al., VLDB 2014).  One level iterator, ``_bit_levels``,
+runs it for pair distances and for the hop seed connector below.  A batch
+of ``64 * words`` sources keeps ``seen``, an ``(n, words)`` uint64 array,
+and a frontier of nodes with the words they gained at the last level.  A
+level finds the words arriving at each node, masks them with ``~seen`` and
+keeps the nonzero rows; a pair resolves at the level where its target's
+row gains its source's bit.  Each level picks a direction (Beamer, Asanovic and Patterson,
 SC 2012).  A *push* expands the frontier rows over the CSR arrays, sorts the
 entries by neighbour and ORs the words arriving at each: it costs the
 frontier's CSR entries times ``words`` plus a sort.  Once ``PULL_FACTOR``
@@ -53,6 +54,27 @@ sources, so after ``FINISH_DEPTH`` (64) levels a batch finishes its
 pending pairs with ``_hop_rows`` per source, in matrices of at most
 ``PAIR_ELEMENTS`` entries (one row on larger graphs).  The 64 levels before
 cost at most 2E word operations per source, about one BFS each.
+The hop seed connector (``_seed_hop_closure``, behind ``seed_connector``)
+runs the same levels from 3 to 64 seeds, one bit each in a single word.  A
+seed pair resolves at the level where one seed's row gains the other's
+bit, and the search stops at the first level whose resolved pairs connect
+all seeds.  Kruskal on that closure, unresolved pairs ``inf``, returns the
+tree Kruskal returns on the full closure: the resolved pairs sort first
+and already connect the seeds, and every unresolved pair is longer.  Each
+level's ``(front, words)`` is kept, and the walk of a tree edge ``(a, b)``
+reads ``b``'s distances rebuilt from the levels below ``d(a, b)`` plus
+``a`` itself, ``inf`` elsewhere, never past the stop level.  That is exact
+for the walk: from a node at distance ``t`` it steps only to a neighbour at
+``t - 1``, which the rebuilt row holds, and a neighbour shown ``inf`` lies
+at ``t`` or ``t + 1``.  A node gains bits at most once a level and once a
+seed, so the kept levels hold at most n * min(k, levels) entries for k
+seeds, never more than the k full ``(dist_w, dist_h)`` rows of the
+per-seed route.  Two seeds take that route (the joint search lost to two
+BFS up to about n = 5 000), as do more than 64 seeds, weights, and seeds
+that ``FINISH_DEPTH`` levels leave unconnected.  A node joins at most one
+frontier a seed, so the 64 levels before cost at most ``PULL_FACTOR``
+BFS a seed in word operations (3.4 ms against 178 ms for the seven rows on
+a 200 k-node path).
 Weights come from ``dijkstra``, then hops from a BFS over the *tight* edges
 ``u -> v`` with ``dist_w[u] + w_uv == dist_w[v]``.  The equality is exact:
 a float Dijkstra sets ``dist_w[v]`` to the smallest rounded sum ``dist_w[u]
@@ -77,7 +99,7 @@ from .errors import InfeasibleError, InputError
 
 MAX_NODES = 2**31 - 1  # csgraph's int32 index limit (see the design notes)
 PAIR_ELEMENTS = 1 << 22  # cap on nodes (or CSR entries) x source words in one batch
-FINISH_DEPTH = 64  # levels a pair batch runs before its pending pairs go per source
+FINISH_DEPTH = 64  # levels a bit-parallel search runs before it goes per source
 PULL_FACTOR = 4  # a level pulls once this times the frontier's CSR entries exceeds 2E
 
 
@@ -307,24 +329,53 @@ def pair_hop_distances(g: Graph, sources, targets) -> np.ndarray:
     return out
 
 
-def _bit_bfs(g: Graph, sources: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Hop distances from ``sources[q[k]]`` to ``t[k]`` (distinct ends) over
-    the CSR arrays: bit ``j`` of a node's row of words marks source ``j``,
-    and a pair resolves at the level where its target's row gains its bit."""
+def _bit_levels(g: Graph, sources: np.ndarray):
+    """The levels of one breadth-first search from all ``sources``
+    (ascending, distinct) over the CSR arrays, bit ``j`` of a node's row of
+    words marking ``sources[j]``: yields, for levels 1, 2, ..., the nodes
+    that gained bits (ascending) and the words they gained, and stops at the
+    first level where no node gains one.  Each level pushes or pulls (see
+    the design notes)."""
     n, words = g.node_count, -(-len(sources) // 64)
     indptr, indices = g.indptr, g.indices
-    dist = np.full(len(q), np.inf)
-    by_t = np.argsort(t, kind="stable")  # a node's pairs are one slice of ts
-    ts, word = t[by_t], q[by_t] >> 6
-    bit = np.left_shift(np.uint64(1), (q[by_t] & 63).astype(np.uint64))
     k = np.arange(len(sources))
-    front = sources  # ascending and distinct
+    front = sources
     fw = np.zeros((len(sources), words), dtype=np.uint64)
     fw[k, k >> 6] = np.left_shift(np.uint64(1), (k & 63).astype(np.uint64))
     seen = np.zeros((n, words), dtype=np.uint64)
     seen[front] = fw
-    pending, level = len(q), 0
-    while pending and len(front):
+    while True:
+        lo, hi = indptr[front], indptr[front + 1]
+        if PULL_FACTOR * (hi - lo).sum() > len(indices):
+            front, fw = _pull(indptr, indices, seen)
+        else:
+            front, fw = _push(indices, lo, hi, fw, seen)
+        if not len(front):
+            return
+        seen[front] |= fw
+        yield front, fw
+
+
+def _bit_bfs(g: Graph, sources: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Hop distances from ``sources[q[k]]`` to ``t[k]`` (distinct ends): a
+    pair resolves at the level of :func:`_bit_levels` where its target's row
+    gains its source's bit."""
+    n = g.node_count
+    dist = np.full(len(q), np.inf)
+    by_t = np.argsort(t, kind="stable")  # a node's pairs are one slice of ts
+    ts, word = t[by_t], q[by_t] >> 6
+    bit = np.left_shift(np.uint64(1), (q[by_t] & 63).astype(np.uint64))
+    pending = len(q)
+    for level, (front, fw) in enumerate(_bit_levels(g, sources), 1):
+        # pairs whose target just gained bits: resolved where it gained theirs
+        lo, hi = ts.searchsorted(front), ts.searchsorted(front, side="right")
+        p = _ranges(lo, hi)
+        if len(p):
+            hit = p[(fw[np.arange(len(front)).repeat(hi - lo), word[p]] & bit[p]) != 0]
+            dist[by_t[hit]] = level
+            pending -= len(hit)
+        if not pending:
+            break
         if level == FINISH_DEPTH:  # deep: finish the rest one source at a time
             left = np.flatnonzero(np.isinf(dist))
             left = left[np.argsort(q[left], kind="stable")]
@@ -335,21 +386,65 @@ def _bit_bfs(g: Graph, sources: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.
                 d = hop_distance_matrix(g, sources[rows[c:c + step]])
                 dist[left[a:z]] = d[row_of[a:z] - c, t[left[a:z]]]
             break
-        level += 1
-        lo, hi = indptr[front], indptr[front + 1]
-        if PULL_FACTOR * (hi - lo).sum() > len(indices):
-            front, fw = _pull(indptr, indices, seen)
-        else:
-            front, fw = _push(indices, lo, hi, fw, seen)
-        seen[front] |= fw
-        # pairs whose target just gained bits: resolved where it gained theirs
-        lo, hi = ts.searchsorted(front), ts.searchsorted(front, side="right")
-        p = _ranges(lo, hi)
-        if len(p):
-            hit = p[(fw[np.arange(len(front)).repeat(hi - lo), word[p]] & bit[p]) != 0]
-            dist[by_t[hit]] = level
-            pending -= len(hit)
     return dist
+
+
+def _seed_hop_closure(g: Graph, seeds: Sequence[int]):
+    """Hop closure of 2 to 64 ascending, distinct seeds from one search over
+    :func:`_bit_levels`, stopped at the first level whose resolved pairs
+    connect every seed (see the design notes).  Returns the ``(k, k)`` seed
+    distances, ``inf`` for a pair unresolved at the stop, and ``row(a, b)``:
+    what the walk from seed ``a`` to seed ``b`` reads of ``b``'s distances,
+    rebuilt from the recorded levels below ``d(a, b)`` plus ``a`` itself
+    (``inf`` elsewhere), as one float row that serves :func:`_reconstruct_path`
+    for both weights and hops.  Returns None when ``FINISH_DEPTH`` levels
+    leave the seeds unconnected."""
+    s = np.asarray(seeds, dtype=np.int64)
+    k = len(s)
+    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    hops = np.full((k, k), np.inf)
+    np.fill_diagonal(hops, 0.0)
+    fronts, words = [s], [bits]  # level 0: each seed holds its own bit
+    resolved = 0  # ordered pairs: each pair resolves at both of its seeds
+    for level, (front, fw) in enumerate(_bit_levels(g, s), 1):
+        fronts.append(front)
+        words.append(fw[:, 0])
+        at = front.searchsorted(s)
+        on = np.flatnonzero(front.take(at, mode="clip") == s)
+        if len(on):  # seeds that gained other seeds' bits: pairs at this level
+            i, j = np.nonzero(fw[at[on]] & bits)
+            hops[on[i], j] = level
+            resolved += len(i)
+            if resolved >= 2 * (k - 1) and _spans(hops):  # enough pairs for a tree
+                break
+        if level == FINISH_DEPTH:
+            return None
+    sizes = [len(f) for f in fronts]
+    nodes, got = np.concatenate(fronts), np.concatenate(words)
+    level_of, ends = np.repeat(np.arange(float(len(sizes))), sizes), np.cumsum(sizes)
+
+    def row(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        ia, ib = s.searchsorted([a, b])
+        d = int(hops[ia, ib])
+        hit = np.flatnonzero(got[:ends[d - 1]] & bits[ib])
+        dist = np.full(g.node_count, np.inf)
+        dist[nodes[hit]] = level_of[hit]
+        dist[a] = d
+        return dist, dist
+
+    return hops, row
+
+
+def _spans(hops: np.ndarray) -> bool:
+    """Whether the finite entries of a symmetric distance matrix connect
+    all its rows: the rows joined to the first, grown to a fixed point."""
+    joined = np.isfinite(hops[0])
+    while not joined.all():
+        grown = np.isfinite(hops[joined]).any(axis=0)
+        if (grown == joined).all():
+            return False
+        joined = grown
+    return True
 
 
 def _push(indices, lo, hi, fw, seen):

@@ -9,14 +9,14 @@ from tensionkit import (VARIANT_TAGS, ConvergenceError, EdgeWeights, Graph,
                         InfeasibleError, InputError, community_solver,
                         evaluate_solution, peel_community, proxy_weights,
                         tree_community)
-from tensionkit import community
+from tensionkit import community, graph
 from tensionkit.community import PEEL_VARIANTS, seed_connector
 from tensionkit.conformation import DENSE_LIMIT
 from tensionkit.graph import path_distances
 
 from conftest import (adjacency_lists, edge_weights, oracle_is_connected,
                       oracle_min_tension, oracle_tension, random_graph_and_profiles,
-                      reference_peel_community)
+                      reference_hop_connector, reference_peel_community)
 
 
 def _solve(tag, g, X, seeds, seed=0):
@@ -224,6 +224,94 @@ class TestSeedConnector:
         nodes, edges = seed_connector(g, [0, 2, 4], w)
         assert edges == {(0, 1), (1, 4), (4, 6), (2, 3), (3, 6)}
         assert nodes == {0, 1, 2, 3, 4, 6}
+
+
+def _connector_case(rng, kind):
+    """A graph of one kind and sorted seeds on it: 2 seeds, 3 to 64, or 65."""
+    if kind == "gnm":  # often disconnected
+        n = int(rng.integers(3, 121))
+        edges = rng.integers(0, n, (int(rng.integers(n // 2, 3 * n)), 2))
+    elif kind == "tree":
+        n = int(rng.integers(3, 151))
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    elif kind == "grid":
+        rows, cols = int(rng.integers(1, 13)), int(rng.integers(3, 13))
+        n, at = rows * cols, np.arange(rows * cols).reshape(rows, cols)
+        edges = np.r_[np.c_[at[:, :-1].ravel(), at[:, 1:].ravel()],
+                      np.c_[at[:-1].ravel(), at[1:].ravel()]]
+    elif kind == "star":  # many pairs of equal length: Kruskal's ties
+        n = int(rng.integers(4, 101))
+        edges = np.r_[np.c_[np.zeros(n - 1, int), np.arange(1, n)],
+                      rng.integers(1, n, (int(rng.integers(0, n)), 2))]
+    else:  # a path deeper than FINISH_DEPTH
+        n = int(rng.integers(130, 401))
+        edges = [(v, v + 1) for v in range(n - 1)]
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    g = Graph(n, edges[edges[:, 0] != edges[:, 1]])
+    k = min(n, int(rng.choice([2, rng.integers(3, 65), 65])))
+    if kind == "path" and rng.random() < 0.5:
+        # the last seed lies more than 64 hops past the others: the fallback
+        k = min(k, n // 3)
+        return g, sorted(rng.choice(n // 3, k - 1, replace=False).tolist() + [n - 1])
+    return g, sorted(rng.choice(n, k, replace=False).tolist())
+
+
+class TestJointHopConnector:
+    """In hop mode, 3 to 64 seeds are connected by one bit-parallel search
+    that stops once its resolved pairs connect them; the answer, or the
+    InfeasibleError, is the per-seed connector's."""
+
+    @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
+           st.sampled_from([0, 10**9, None]))
+    @settings(max_examples=200)
+    def test_matches_the_per_seed_connector(self, seed, kind, pull_factor):
+        g, seeds = _connector_case(np.random.default_rng(seed), kind)
+        try:
+            want = reference_hop_connector(g, seeds)
+        except InfeasibleError as e:
+            want = str(e)
+        with pytest.MonkeyPatch.context() as mp:
+            if pull_factor is not None:  # every level pushes (0) or pulls
+                mp.setattr(graph, "PULL_FACTOR", pull_factor)
+            try:
+                got = seed_connector(g, seeds)
+            except InfeasibleError as e:
+                got = str(e)
+        assert got == want
+
+    def test_routes(self, monkeypatch):
+        calls = []
+
+        def spy(g, src, weights=None):
+            calls.append(src)
+            return path_distances(g, src, weights)
+
+        monkeypatch.setattr(community, "path_distances", spy)
+        g = Graph(200, [(v, v + 1) for v in range(199)])
+        assert seed_connector(g, [0, 60, 120])[0] == set(range(121))
+        assert calls == []  # joint: all pairs within 64 levels
+        assert seed_connector(g, [0, 100, 199])[0] == set(range(200))
+        assert calls == [0, 100, 199]  # 100 hops apart: per-seed after 64 levels
+        calls.clear()
+        seed_connector(g, [0, 5])
+        seed_connector(g, list(range(0, 195, 3)))  # 65 seeds
+        seed_connector(g, [0, 5, 10], EdgeWeights(g, np.ones(199)))
+        assert calls == [0, 5] + list(range(0, 195, 3)) + [0, 5, 10]
+
+    def test_search_stops_at_the_level_that_connects_the_seeds(self, monkeypatch):
+        levels = []
+
+        def spy(g, sources, real=graph._bit_levels):
+            for level in real(g, sources):
+                levels.append(level)
+                yield level
+
+        monkeypatch.setattr(graph, "_bit_levels", spy)
+        # seeds 0, 2 and 7 on a 40-node path: pairs at 2 and 5 hops connect them
+        g = Graph(40, [(v, v + 1) for v in range(39)])
+        nodes, edges = seed_connector(g, [0, 2, 7])
+        assert len(levels) == 5 and nodes == set(range(8))
+        assert edges == {(v, v + 1) for v in range(7)}
 
 
 # -- top-down strategy -----------------------------------------------------------

@@ -360,6 +360,16 @@ class TestSingularVectorFailures:
             _top_left_singular_vectors(sp.csr_matrix(np.arange(12.0).reshape(4, 3)), 1)
         assert exc.value.residual >= 1e-6
 
+    def test_small_singular_value_passes_the_check(self):
+        # sigma_2 / sigma_1 is about 1e-10: the correct second vector's
+        # residual is tiny next to sigma_1^2 but not next to its own sigma_2^2
+        M = np.array([[0.0, 1e-3, 0.0], [2.0, 4e3, 1e-3]])
+        U, S = _top_left_singular_vectors(M, 2)
+        want_U, want_S, _ = np.linalg.svd(M, full_matrices=False)
+        assert S[1] / S[0] < 1e-9
+        np.testing.assert_array_equal(S, want_S)
+        np.testing.assert_array_equal(np.abs(U), np.abs(want_U))
+
     @pytest.mark.parametrize("failure", ["no-convergence", "perturbed"])
     def test_sparse_branch(self, monkeypatch, failure):
         # 2500 x 2000 is above the dense branch's 4 000 000 entries
