@@ -7,8 +7,9 @@ Two strategies over an attributed graph:
   (``"hops"``) or in summed profile-difference weights (``"weights"``) — and
   expand the tree edges back into their graph paths.  The hop closure of 3
   to 64 seeds comes from one bit-parallel search that stops once the pairs
-  it has resolved connect the seeds; otherwise each seed gets its own
-  distance row (see ``seed_connector``).
+  it has resolved connect the seeds; the weighted closure computes only
+  the distance rows its tree and walks read; otherwise each seed gets its
+  own distance row (see ``seed_connector``).
 * ``peel_community`` (top-down): start from the whole graph and repeatedly
   remove the highest-scoring node whose removal keeps the seeds connected,
   pruning nodes that become isolated along the way.  Scores are either
@@ -38,7 +39,7 @@ from scipy.sparse import csgraph
 from .conformation import equilibrium_tensions, profile_matrix
 from .errors import InfeasibleError, InputError
 from .graph import (EdgeWeights, Graph, minimum_spanning_tree, path_distances,
-                    _reconstruct_path, _seed_hop_closure)
+                    _reconstruct_path, _seed_hop_closure, _seed_weight_closure)
 
 TREE_VARIANTS = ("hops", "weights")
 PEEL_VARIANTS = ("random", "sum", "max")
@@ -133,33 +134,40 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
     weights (ties: fewest hops, then lexicographically smallest sequence).
     Float path sums need not be symmetric, so the orientation is fixed: the
     closure of seeds ``a < b`` reads ``a``'s row, and the walk reads ``b``'s.
-    In hop mode, 3 to 64 seeds share one bit-parallel search that stops at
-    the first level whose resolved pairs connect them, and the walk reads
-    ``b``'s distances rebuilt from its levels; two seeds, more than 64,
-    weights, or seeds that 64 levels leave unconnected take one
-    :func:`path_distances` row per seed.  Both routes give the same answer
-    (see the ``graph`` design notes).
+    With weights, every seed but the largest gets a Dijkstra row; the walk
+    target ``b`` gets tight-edge hop counts only out to ``max dw_b[a]`` over
+    its tree edges, and the largest seed's row stops there, past a rounding
+    margin, or is computed again in full.  In hop mode, 3 to 64 seeds share
+    one bit-parallel search that stops at the first level whose resolved
+    pairs connect them, and the walk reads ``b``'s distances rebuilt from
+    its levels; two seeds, more than 64, or seeds that 64 levels leave
+    unconnected take one :func:`path_distances` row per seed.  Every route
+    gives the per-seed route's answer (see the ``graph`` design notes).
     Returns the union of path nodes and the union of path edges.
     """
     seeds = _check_seeds(g, seeds)
     if len(seeds) == 1:
         return {seeds[0]}, set()
     joint = None
-    if weights is None and 3 <= len(seeds) <= 64:
+    if weights is not None:
+        joint = _seed_weight_closure(g, seeds, weights)
+    elif 3 <= len(seeds) <= 64:
         joint = _seed_hop_closure(g, seeds)
     if joint is None:
-        rows = {s: path_distances(g, s, weights) for s in seeds}
+        rows = {s: path_distances(g, s) for s in seeds}
         dist = np.array([rows[a][0][seeds] for a in seeds])
+
+        def walks(tree):
+            return [rows[b] for _, b in tree]
     else:
-        dist, row = joint
+        dist, walks = joint
     d = dist.tolist()
     closure = {(a, b): d[i][j]
                for (i, a), (j, b) in itertools.combinations(enumerate(seeds), 2)}
     tree = minimum_spanning_tree(seeds, closure)
     nodes: set[int] = set(seeds)
     edges: set[tuple[int, int]] = set()
-    for a, b in tree:
-        dw, dh = rows[b] if joint is None else row(a, b)
+    for (a, b), (dw, dh) in zip(tree, walks(tree)):
         path = _reconstruct_path(g, a, b, dw, dh, weights)
         nodes.update(path)
         for u, v in zip(path, path[1:]):

@@ -70,8 +70,8 @@ at ``t`` or ``t + 1``.  A node gains bits at most once a level and once a
 seed, so the kept levels hold at most n * min(k, levels) entries for k
 seeds, never more than the k full ``(dist_w, dist_h)`` rows of the
 per-seed route.  Two seeds take that route (the joint search lost to two
-BFS up to about n = 5 000), as do more than 64 seeds, weights, and seeds
-that ``FINISH_DEPTH`` levels leave unconnected.  A node joins at most one
+BFS up to about n = 5 000), as do more than 64 seeds and seeds that
+``FINISH_DEPTH`` levels leave unconnected.  A node joins at most one
 frontier a seed, so the 64 levels before cost at most ``PULL_FACTOR``
 BFS a seed in word operations (3.4 ms against 178 ms for the seven rows on
 a 200 k-node path).
@@ -84,6 +84,35 @@ admit near-ties that no minimum-weight path uses and change hop counts.
 The path walk obeys the same rule: each step goes to the smallest neighbour
 one hop nearer the target over a tight edge, in hop and weighted mode alike.
 Zero weights are edges, kept as explicit CSR entries.
+
+The weighted seed connector (``_seed_weight_closure``) computes only the
+rows its closure and walks read.  The closure of seeds ``a < b`` reads
+``a``'s row at ``b``, so every seed but the largest gets one ``dijkstra``
+row and no hop row.  The walk of a tree edge ``(a, b)`` starts at ``a`` and
+steps to ever nearer nodes of ``b``'s row, so it reads that row only where
+``dw_b <= dw_b[a]``.  A walk target ``b`` therefore gets its tight-edge hop
+row (``_tight_hops``) only over the ball ``dw_b <= reach_b``, ``reach_b``
+the largest ``dw_b[a]`` over its tree edges, read from ``b``'s own row.
+That is exact: ``dw`` never decreases along a tight edge, so every tight
+path from ``b`` to a node in the ball stays in the ball, and a neighbour
+outside it has ``dw > dw[u]`` and is never tight.  The largest seed's row
+comes last, with a ``dijkstra`` ``limit`` (inclusive): the largest closure
+distance ``d(a -> b)`` among its tree edges, times ``1 +
+_orientation_margin(n)``.  A limited row holds the full row's values within
+the limit, because the relaxation that sets ``dw[v]`` comes from a node with
+``dw <= dw[v]`` and a rounded sum of nonnegative terms is no smaller than
+either.  The walk reads ``d(b -> a)``, the other orientation.  A float
+Dijkstra distance is at most the rounded running sum along any path, and a
+path of at most ``n - 1`` edges rounds at most ``n - 2`` times in either
+orientation, each time by a relative ``u = 2**-53`` at most; so ``d(b -> a)
+<= d(a -> b) (1 + 2(n - 2)u)`` to first order.  The margin ``2nu`` covers
+that and the rounding of the limit itself up to about ``2**26`` nodes.  If a
+walk source still reads ``inf``, the row is computed again without a limit,
+so a limited row never yields a false disconnected pair.  On comm-large's
+seed sets (20 k nodes, 100 k edges, 7 seeds) that is 6 full rows, one
+limited row and about 4 hop rows over a median 22 % of the nodes, where
+the per-seed route computed 7 full rows of each: 84 against 63 ms a
+connector on a 2-core x86-64.
 """
 
 from __future__ import annotations
@@ -393,12 +422,12 @@ def _seed_hop_closure(g: Graph, seeds: Sequence[int]):
     """Hop closure of 2 to 64 ascending, distinct seeds from one search over
     :func:`_bit_levels`, stopped at the first level whose resolved pairs
     connect every seed (see the design notes).  Returns the ``(k, k)`` seed
-    distances, ``inf`` for a pair unresolved at the stop, and ``row(a, b)``:
-    what the walk from seed ``a`` to seed ``b`` reads of ``b``'s distances,
-    rebuilt from the recorded levels below ``d(a, b)`` plus ``a`` itself
-    (``inf`` elsewhere), as one float row that serves :func:`_reconstruct_path`
-    for both weights and hops.  Returns None when ``FINISH_DEPTH`` levels
-    leave the seeds unconnected."""
+    distances, ``inf`` for a pair unresolved at the stop, and ``walks(tree)``:
+    for each tree edge ``(a, b)``, what the walk from seed ``a`` to seed
+    ``b`` reads of ``b``'s distances, rebuilt from the recorded levels below
+    ``d(a, b)`` plus ``a`` itself (``inf`` elsewhere), as one float row that
+    serves :func:`_reconstruct_path` for both weights and hops.  Returns None
+    when ``FINISH_DEPTH`` levels leave the seeds unconnected."""
     s = np.asarray(seeds, dtype=np.int64)
     k = len(s)
     bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
@@ -423,16 +452,19 @@ def _seed_hop_closure(g: Graph, seeds: Sequence[int]):
     nodes, got = np.concatenate(fronts), np.concatenate(words)
     level_of, ends = np.repeat(np.arange(float(len(sizes))), sizes), np.cumsum(sizes)
 
-    def row(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        ia, ib = s.searchsorted([a, b])
-        d = int(hops[ia, ib])
-        hit = np.flatnonzero(got[:ends[d - 1]] & bits[ib])
-        dist = np.full(g.node_count, np.inf)
-        dist[nodes[hit]] = level_of[hit]
-        dist[a] = d
-        return dist, dist
+    def walks(tree: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+        out = []
+        for a, b in tree:
+            ia, ib = s.searchsorted([a, b])
+            d = int(hops[ia, ib])
+            hit = np.flatnonzero(got[:ends[d - 1]] & bits[ib])
+            dist = np.full(g.node_count, np.inf)
+            dist[nodes[hit]] = level_of[hit]
+            dist[a] = d
+            out.append((dist, dist))
+        return out
 
-    return hops, row
+    return hops, walks
 
 
 def _spans(hops: np.ndarray) -> bool:
@@ -497,11 +529,60 @@ def path_distances(g: Graph, src: int,
         return dw, _as_hops(dw)
     W = weights.weighted_csr()
     dw = csgraph.dijkstra(W, indices=src)
-    # hop counts: fewest tight edges from src (see the module design notes)
-    tight = np.flatnonzero(np.repeat(dw, g.degrees()) + W.data == dw[g.indices])
+    return dw, _tight_hops(W, dw, src)
+
+
+def _tight_hops(W: sp.csr_matrix, dw: np.ndarray, src: int, reach: float = math.inf
+                ) -> np.ndarray:
+    """Fewest tight edges from ``src`` to each node of the ball ``dw <=
+    reach``, given ``src``'s weighted row ``dw``; -1 outside the ball and
+    where unreachable.  Only the ball's CSR rows are read: a tight path never
+    leaves it (see the module design notes)."""
+    ball = np.flatnonzero(dw <= reach)
+    lo, hi = W.indptr[ball], W.indptr[ball + 1]
+    at = _ranges(lo, hi)
+    end = dw[W.indices[at]]
+    tight = at[(dw[ball].repeat(hi - lo) + W.data[at] == end) & (end <= reach)]
     T = sp.csr_matrix((np.ones(len(tight)), W.indices[tight], np.searchsorted(tight, W.indptr)),
                       shape=W.shape)
-    return dw, _as_hops(_hop_rows(T, src))
+    return _as_hops(_hop_rows(T, src))
+
+
+def _orientation_margin(n: int) -> float:
+    """Relative bound on how far the two orientations of a path sum differ
+    on ``n`` nodes: ``2n`` unit roundoffs (see the module design notes)."""
+    return 2 * n * (np.finfo(np.float64).eps / 2)
+
+
+def _seed_weight_closure(g: Graph, seeds: Sequence[int], weights: EdgeWeights):
+    """Weighted closure of 2 or more ascending, distinct seeds, computing
+    only what the closure and the walks read (see the module design notes).
+    Returns the ``(k, k)`` seed distances, the largest seed's row ``inf``
+    because the closure reads only the smaller seed's row, and
+    ``walks(tree)``: for each edge ``(a, b)`` of a spanning tree of that
+    closure, the ``(dw, dh)`` of ``b`` that the walk from ``a`` reads, its
+    hops only within the ball ``dw <= max dw[a]`` over ``b``'s tree edges."""
+    W = weights.weighted_csr()
+    s = np.asarray(seeds, dtype=np.int64)
+    head = csgraph.dijkstra(W, indices=s[:-1])
+    rows = dict(zip(s[:-1].tolist(), head))
+    dist = np.vstack([head[:, s], np.full(len(s), np.inf)])
+    last = int(s[-1])
+
+    def walks(tree: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+        ends = [a for a, b in tree if b == last]  # the largest seed is in every tree
+        at = s.searchsorted(ends)
+        limit = dist[at, -1].max() * (1.0 + _orientation_margin(g.node_count))
+        rows[last] = csgraph.dijkstra(W, indices=last, limit=limit)
+        if np.isinf(rows[last][ends]).any():  # rounded past the margin
+            rows[last] = csgraph.dijkstra(W, indices=last)
+        reach: dict[int, float] = {}
+        for a, b in tree:
+            reach[b] = max(reach.get(b, 0.0), rows[b][a])
+        hops = {b: _tight_hops(W, rows[b], b, r) for b, r in reach.items()}
+        return [(rows[b], hops[b]) for _, b in tree]
+
+    return dist, walks
 
 
 def _reconstruct_path(g: Graph, src: int, dst: int, dw: np.ndarray, dh: np.ndarray,

@@ -162,7 +162,7 @@ def form_team(g: Graph, latent, skills: SkillMap, required: Iterable[str],
     final = solver(g, latent, sorted(individuals), base if weights is None else weights)
     for label in labels:
         if not (skills.holders_of(label) & final.nodes):
-            raise RuntimeError(f"team formation lost coverage of skill {label!r}")
+            raise InfeasibleError(f"team formation lost coverage of skill {label!r}")
     return TeamResult(solution=final,
                       step1_individuals=frozenset(individuals),
                       step2_noop=final.nodes == frozenset(individuals))

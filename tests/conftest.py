@@ -9,9 +9,10 @@ every pick, the reference graph is the list-of-lists construction that
 the CSR ``Graph`` replaced, and the reference greedy growth runs one Python
 heap per start.  The reference peel and growth loop over Python lists read
 off the CSR arrays (``adjacency_lists``).  The reference seed sampling reads
-its spreads off a sources x nodes hop distance matrix.  The reference hop
-connector computes a full hop row per seed.  The reference edge-list and
-profile readers are the per-line loops that ran before the numpy parse.
+its spreads off a sources x nodes hop distance matrix.  The reference
+connector computes a full distance row per seed, hops or weights.  The
+reference edge-list and profile readers are the per-line loops that ran
+before the numpy parse.
 """
 
 from __future__ import annotations
@@ -371,18 +372,24 @@ def reference_sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 10
 
 
 def reference_hop_connector(g: Graph, seeds):
-    """``seed_connector`` in hop mode as it ran before the joint search: a
-    full ``path_distances`` row per seed, Kruskal on the whole closure (the
-    smaller seed's row), and each tree edge walked on its larger seed's row.
-    Takes sorted, distinct, in-range seeds."""
+    """``seed_connector`` in hop mode as it ran before the joint search."""
+    return reference_weighted_connector(g, seeds, None)
+
+
+def reference_weighted_connector(g: Graph, seeds, weights):
+    """``seed_connector`` as it ran before the joint hop search and the
+    weighted closure: a full ``path_distances`` row per seed, weights and
+    tight-edge hops alike, Kruskal on the whole closure (the smaller seed's
+    row), and each tree edge walked on its larger seed's row.  Takes sorted,
+    distinct, in-range seeds."""
     if len(seeds) == 1:
         return {seeds[0]}, set()
-    dists = {s: path_distances(g, s) for s in seeds}
+    dists = {s: path_distances(g, s, weights) for s in seeds}
     closure = {(a, b): float(dists[a][0][b]) for a, b in itertools.combinations(seeds, 2)}
     nodes, edges = set(seeds), set()
     for a, b in minimum_spanning_tree(seeds, closure):
         dw, dh = dists[b]
-        path = _reconstruct_path(g, a, b, dw, dh, None)
+        path = _reconstruct_path(g, a, b, dw, dh, weights)
         nodes.update(path)
         edges.update((min(e), max(e)) for e in zip(path, path[1:]))
     return nodes, edges

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensionkit import community
+from tensionkit import cli, community
 from tensionkit.cli import BENCH_COLUMNS, METRIC_COLUMNS, TEAM_COLUMNS, main
 from tensionkit.conformation import DENSE_LIMIT
 from tensionkit.errors import ConvergenceError
@@ -274,6 +274,22 @@ class TestTeam:
                      "--variant", "tree-hops", "--out", str(out)]) == 0
         r = read_rows(out)[1]
         assert r[11] == "non-convergence: stuck" and r[4] == "" and r[12] == ""
+
+    def test_lost_coverage_becomes_failed_row(self, tmp_path, path5, monkeypatch):
+        def dropping(algorithm, variant, rng_seed=0):
+            def solve(g, latent, seeds, weights=None):  # keeps only the smallest seed
+                return community.evaluate_solution(g, latent, [min(seeds)])
+            return solve
+
+        monkeypatch.setattr(cli, "community_solver", dropping)
+        skills = write(tmp_path / "s.skills", "0 a 4\n4 b 4\n")
+        proj = write(tmp_path / "p.project", "a b\n")
+        out = tmp_path / "team.csv"
+        assert main(["team", "--graph", path5, "--scheme", "uniform",
+                     "--skills", skills, "--project", proj,
+                     "--variant", "tree-hops", "--out", str(out)]) == 0
+        r = read_rows(out)[1]
+        assert r[11] == "team formation lost coverage of skill 'b'" and r[4] == ""
 
     def test_stdout_rows_are_quoted_like_the_file(self, tmp_path, path5, capsys):
         # the unknown label "x,y" reaches the status column of both outputs

@@ -16,7 +16,8 @@ from tensionkit.graph import path_distances
 
 from conftest import (adjacency_lists, edge_weights, oracle_is_connected,
                       oracle_min_tension, oracle_tension, random_graph_and_profiles,
-                      reference_hop_connector, reference_peel_community)
+                      reference_hop_connector, reference_peel_community,
+                      reference_weighted_connector)
 
 
 def _solve(tag, g, X, seeds, seed=0):
@@ -256,6 +257,24 @@ def _connector_case(rng, kind):
     return g, sorted(rng.choice(n, k, replace=False).tolist())
 
 
+def _spy_weighted_rows(monkeypatch):
+    """Record the weighted connector's Dijkstra rows as ``(sources,
+    limit)`` and its tight-edge hop rows as ``(source, reach)``."""
+    rows, hops = [], []
+
+    def dijkstra(W, indices, limit=np.inf, real=graph.csgraph.dijkstra):
+        rows.append((np.ravel(indices).tolist(), limit))
+        return real(W, indices=indices, limit=limit)
+
+    def tight_hops(W, dw, src, reach=np.inf, real=graph._tight_hops):
+        hops.append((src, reach))
+        return real(W, dw, src, reach)
+
+    monkeypatch.setattr(graph.csgraph, "dijkstra", dijkstra)
+    monkeypatch.setattr(graph, "_tight_hops", tight_hops)
+    return rows, hops
+
+
 class TestJointHopConnector:
     """In hop mode, 3 to 64 seeds are connected by one bit-parallel search
     that stops once its resolved pairs connect them; the answer, or the
@@ -295,8 +314,15 @@ class TestJointHopConnector:
         calls.clear()
         seed_connector(g, [0, 5])
         seed_connector(g, list(range(0, 195, 3)))  # 65 seeds
+        assert calls == [0, 5] + list(range(0, 195, 3))
+        calls.clear()
+        rows, hops = _spy_weighted_rows(monkeypatch)
         seed_connector(g, [0, 5, 10], EdgeWeights(g, np.ones(199)))
-        assert calls == [0, 5] + list(range(0, 195, 3)) + [0, 5, 10]
+        # weighted: Dijkstra rows for the closure, a limited row for the
+        # largest seed, hop rows for the walk targets within their reach
+        assert calls == []
+        assert rows == [([0, 5], np.inf), ([10], 5 * (1 + graph._orientation_margin(200)))]
+        assert hops == [(5, 5.0), (10, 5.0)]
 
     def test_search_stops_at_the_level_that_connects_the_seeds(self, monkeypatch):
         levels = []
@@ -312,6 +338,58 @@ class TestJointHopConnector:
         nodes, edges = seed_connector(g, [0, 2, 7])
         assert len(levels) == 5 and nodes == set(range(8))
         assert edges == {(v, v + 1) for v in range(7)}
+
+
+_WEIGHT_KINDS = {
+    "ints": lambda rng, m: rng.integers(0, 3, m).astype(float),  # ties, zero plateaus
+    "uniform": lambda rng, m: rng.random(m),
+    "tenths": lambda rng, m: np.round(rng.random(m), 1),  # orientation asymmetry
+}
+
+
+class TestWeightedConnector:
+    """With weights, only the closure rows, the largest seed's row up to
+    its tree edges and the walk targets' hop rows within their reach are
+    computed; the answer, or the InfeasibleError, is the per-seed
+    connector's."""
+
+    @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
+           st.sampled_from(sorted(_WEIGHT_KINDS)), st.integers(2, 70))
+    @settings(max_examples=300)
+    def test_matches_the_per_seed_connector(self, seed, kind, weight_kind, k):
+        rng = np.random.default_rng(seed)
+        g, _ = _connector_case(rng, kind)
+        w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g.edge_count))
+        seeds = sorted(rng.choice(g.node_count, min(k, g.node_count), replace=False).tolist())
+        try:
+            want = reference_weighted_connector(g, seeds, w)
+        except InfeasibleError as e:
+            want = str(e)
+        try:
+            got = seed_connector(g, seeds, w)
+        except InfeasibleError as e:
+            got = str(e)
+        assert got == want
+
+    # the graph of test_closure_reads_the_smaller_seeds_row: the tree edge
+    # (2, 4) reads d(2 -> 4) = 1.5999999999999999, its walk d(4 -> 2) = 1.6
+    G7 = Graph(7, [(0, 1), (1, 4), (1, 6), (2, 3), (3, 5), (3, 6), (4, 6), (5, 6)])
+    W7 = EdgeWeights(G7, [0.1, 0.1, 0.2, 0.6, 0.7, 0.7, 0.3, 0.2])
+
+    def test_margin_covers_the_reverse_orientation(self, monkeypatch):
+        rows, hops = _spy_weighted_rows(monkeypatch)
+        got = seed_connector(self.G7, [0, 2, 4], self.W7)
+        limit = 1.5999999999999999 * (1 + graph._orientation_margin(7))
+        assert rows == [([0, 2], np.inf), ([4], limit)]  # the largest seed's row once
+        assert hops == [(4, 1.6)]
+        assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
+
+    def test_row_past_the_limit_is_recomputed(self, monkeypatch):
+        monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
+        rows, _ = _spy_weighted_rows(monkeypatch)
+        got = seed_connector(self.G7, [0, 2, 4], self.W7)
+        assert rows == [([0, 2], np.inf), ([4], 1.5999999999999999), ([4], np.inf)]
+        assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
 
 
 # -- top-down strategy -----------------------------------------------------------

@@ -151,6 +151,17 @@ class TestFormTeam:
         with pytest.raises(InputError):
             form_team(g, np.zeros((2, 1)), skills, [], community_solver("tree", "hops"))
 
+    def test_lost_coverage_is_infeasible(self):
+        # a solver that keeps only the smallest seed: step 1 yields no
+        # individual, step 2 keeps the holder of "a" alone and loses "b"
+        def solver(g, latent, seeds, weights=None):
+            return evaluate_solution(g, latent, [min(seeds)])
+
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        skills = SkillMap.from_counts(5, [(0, "a", 4), (4, "b", 4)])
+        with pytest.raises(InfeasibleError, match="lost coverage of skill 'b'"):
+            form_team(g, np.zeros((5, 1)), skills, ["a", "b"], solver)
+
     def test_step1_includes_unique_holders(self):
         # each required skill held by exactly one node: step 1 must pick them all
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
