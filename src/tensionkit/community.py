@@ -5,11 +5,8 @@ Two strategies over an attributed graph:
 * ``tree_community`` (bottom-up): connect the seeds by a minimum spanning
   tree of their metric closure — path lengths counted either in hops
   (``"hops"``) or in summed profile-difference weights (``"weights"``) — and
-  expand the tree edges back into their graph paths.  The hop closure of 3
-  to 64 seeds comes from one bit-parallel search that stops once the pairs
-  it has resolved connect the seeds; the weighted closure computes only
-  the distance rows its tree and walks read; otherwise each seed gets its
-  own distance row (see ``seed_connector``).
+  expand the tree edges back into their graph paths.  The closure computes
+  only the distances its tree and walks read (see ``seed_connector``).
 * ``peel_community`` (top-down): start from the whole graph and repeatedly
   remove the highest-scoring node whose removal keeps the seeds connected,
   pruning nodes that become isolated along the way.  Scores are either
@@ -27,7 +24,6 @@ the induced subgraph, induced non-tree edges included.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -38,8 +34,8 @@ from scipy.sparse import csgraph
 
 from .conformation import equilibrium_tensions, profile_matrix
 from .errors import InfeasibleError, InputError
-from .graph import (EdgeWeights, Graph, minimum_spanning_tree, path_distances,
-                    _reconstruct_path, _seed_hop_closure, _seed_weight_closure)
+from .graph import (EdgeWeights, Graph, minimum_spanning_tree, path_distances, _check_weights,
+                    _integer_ids, _reconstruct_path, _seed_hop_closure, _seed_weight_closure)
 
 TREE_VARIANTS = ("hops", "weights")
 PEEL_VARIANTS = ("random", "sum", "max")
@@ -80,10 +76,19 @@ def proxy_weights(g: Graph, latent, norm: str = "l2") -> EdgeWeights:
     return EdgeWeights(g, vals)
 
 
+def _sorted_ids(nodes, what: str) -> list[int]:
+    """``nodes`` as sorted distinct ints; :class:`InputError` when empty or
+    when one is not an integer of a numeric dtype."""
+    ids = _integer_ids(list(nodes))
+    if ids is None or ids.ndim != 1:
+        raise InputError(f"{what}s must be integer node ids")
+    if not len(ids):
+        raise InputError(f"empty node set: at least one {what} is required")
+    return np.unique(ids).tolist()
+
+
 def _check_seeds(g: Graph, seeds) -> list[int]:
-    uniq = sorted(set(seeds))
-    if not uniq:
-        raise InputError("empty node set: at least one seed is required")
+    uniq = _sorted_ids(seeds, "seed")
     if uniq[0] < 0 or uniq[-1] >= g.node_count:
         raise InputError("seed outside the graph's node range")
     return uniq
@@ -94,9 +99,7 @@ def evaluate_solution(g: Graph, latent, nodes, algorithm_tag: str = "custom",
     """Score a connected node set by the tension of its induced subgraph at
     equilibrium: :func:`equilibrium_tensions` on a batch of one (exact up to
     ``DENSE_LIMIT`` nodes, within ``tol`` in max-norm above)."""
-    olds = sorted(set(nodes))
-    if not olds:
-        raise InputError("empty node set")
+    olds = _sorted_ids(nodes, "node")
     tension, edges = equilibrium_tensions(g, latent, [olds], tol=tol)
     return Solution(frozenset(olds), int(edges[0]), float(tension[0]), algorithm_tag)
 
@@ -134,44 +137,37 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
     weights (ties: fewest hops, then lexicographically smallest sequence).
     Float path sums need not be symmetric, so the orientation is fixed: the
     closure of seeds ``a < b`` reads ``a``'s row, and the walk reads ``b``'s.
-    With weights, every seed but the largest gets a Dijkstra row; the walk
-    target ``b`` gets tight-edge hop counts only out to ``max dw_b[a]`` over
-    its tree edges, and the largest seed's row stops there, past a rounding
-    margin, or is computed again in full.  In hop mode, 3 to 64 seeds share
-    one bit-parallel search that stops at the first level whose resolved
-    pairs connect them, and the walk reads ``b``'s distances rebuilt from
-    its levels; two seeds, more than 64, or seeds that 64 levels leave
-    unconnected take one :func:`path_distances` row per seed.  Every route
-    gives the per-seed route's answer (see the ``graph`` design notes).
-    Returns the union of path nodes and the union of path edges.
+    With weights, the closure computes only the rows it and the walks read.
+    In hop mode, 3 to 64 seeds share one bit-parallel search that stops at
+    the first level where Kruskal on the resolved pairs spans them; two
+    seeds, more than 64, or seeds that 64 levels leave unconnected take one
+    :func:`path_distances` row per seed.  Every route gives the per-seed
+    route's answer (see the ``graph`` design notes).  The tree is
+    :func:`minimum_spanning_tree` of the route's ``(k, k)`` closure, as seed
+    index pairs.  Returns the union of path nodes and of path edges.
     """
     seeds = _check_seeds(g, seeds)
     if len(seeds) == 1:
         return {seeds[0]}, set()
-    joint = None
     if weights is not None:
         joint = _seed_weight_closure(g, seeds, weights)
-    elif 3 <= len(seeds) <= 64:
-        joint = _seed_hop_closure(g, seeds)
+    else:
+        joint = _seed_hop_closure(g, seeds) if 3 <= len(seeds) <= 64 else None
     if joint is None:
-        rows = {s: path_distances(g, s) for s in seeds}
-        dist = np.array([rows[a][0][seeds] for a in seeds])
+        rows = [path_distances(g, s) for s in seeds]
+        dist = np.array([dw[seeds] for dw, _ in rows])
 
         def walks(tree):
-            return [rows[b] for _, b in tree]
+            return [rows[j] for _, j in tree]
     else:
         dist, walks = joint
-    d = dist.tolist()
-    closure = {(a, b): d[i][j]
-               for (i, a), (j, b) in itertools.combinations(enumerate(seeds), 2)}
-    tree = minimum_spanning_tree(seeds, closure)
+    tree = minimum_spanning_tree(dist)
     nodes: set[int] = set(seeds)
     edges: set[tuple[int, int]] = set()
-    for (a, b), (dw, dh) in zip(tree, walks(tree)):
-        path = _reconstruct_path(g, a, b, dw, dh, weights)
+    for (i, j), (dw, dh) in zip(tree, walks(tree)):
+        path = _reconstruct_path(g, seeds[i], seeds[j], dw, dh, weights)
         nodes.update(path)
-        for u, v in zip(path, path[1:]):
-            edges.add((u, v) if u < v else (v, u))
+        edges.update((min(e), max(e)) for e in zip(path, path[1:]))
     return nodes, edges
 
 
@@ -251,6 +247,7 @@ def peel_community(g: Graph, latent, seeds, variant: str = "sum",
     else:
         if weights is None:
             weights = proxy_weights(g, latent)
+        _check_weights(g, weights)
         W = weights.weighted_csr()
         if variant == "sum":
             pairs = list(zip(indices.tolist(), W.data.tolist()))

@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, InfeasibleError, InputError
-from .graph import Graph, _find_edges
+from .graph import Graph, _edges_among, _find_edges
 
 DENSE_LIMIT = 250  # largest set solved densely (see the module docstring)
 BATCH_ELEMENTS = 1 << 18  # cap on B * k * k in one stacked dense solve
@@ -116,8 +116,8 @@ def _induced_edges(g: Graph, sets: np.ndarray) -> tuple[np.ndarray, ...]:
     """Edges induced by each row of ``sets`` as ``(b, i, j)``: row ``b``
     holds an edge between its ``i``-th and ``j``-th nodes, ``i < j``."""
     k = sets.shape[1]
-    if k > DENSE_LIMIT:  # a chunk of one set: one pass over all edges
-        e = np.searchsorted(sets[0], g.edge_array()[g.edges_within(sets[0])])
+    if k > DENSE_LIMIT:  # a chunk of one set
+        e = np.searchsorted(sets[0], _edges_among(g, sets[0]))
         return np.zeros(len(e), np.int64), e[:, 0], e[:, 1]
     i, j = np.triu_indices(k, 1)
     b, p = np.nonzero(_find_edges(g, sets[:, i], sets[:, j])[1])

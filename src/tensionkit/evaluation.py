@@ -26,7 +26,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .community import Solution, seed_connector
 from .errors import ConvergenceError, InfeasibleError, InputError
-from .graph import EdgeWeights, Graph, largest_component, pair_hop_distances
+from .graph import EdgeWeights, Graph, largest_component, pair_hop_distances, _check_weights
 
 PROFILE_SCHEMES = ("uniform", "exponential", "thresholded", "eigenvector")
 
@@ -57,6 +57,7 @@ def mean_squared_weight(g: Graph, weights: EdgeWeights,
                         nodes: Iterable[int] | None = None) -> float:
     """Average squared edge weight, over the whole graph or over the edges
     induced by ``nodes``.  Raises :class:`InputError` when no edges apply."""
+    _check_weights(g, weights)
     vals = weights.values
     if nodes is not None:
         vals = vals[g.edges_within(nodes)]

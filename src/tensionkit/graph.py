@@ -56,25 +56,24 @@ pending pairs with ``_hop_rows`` per source, in matrices of at most
 cost at most 2E word operations per source, about one BFS each.
 The hop seed connector (``_seed_hop_closure``, behind ``seed_connector``)
 runs the same levels from 3 to 64 seeds, one bit each in a single word.  A
-seed pair resolves at the level where one seed's row gains the other's
-bit, and the search stops at the first level whose resolved pairs connect
-all seeds.  Kruskal on that closure, unresolved pairs ``inf``, returns the
-tree Kruskal returns on the full closure: the resolved pairs sort first
-and already connect the seeds, and every unresolved pair is longer.  Each
-level's ``(front, words)`` is kept, and the walk of a tree edge ``(a, b)``
-reads ``b``'s distances rebuilt from the levels below ``d(a, b)`` plus
-``a`` itself, ``inf`` elsewhere, never past the stop level.  That is exact
-for the walk: from a node at distance ``t`` it steps only to a neighbour at
-``t - 1``, which the rebuilt row holds, and a neighbour shown ``inf`` lies
-at ``t`` or ``t + 1``.  A node gains bits at most once a level and once a
-seed, so the kept levels hold at most n * min(k, levels) entries for k
-seeds, never more than the k full ``(dist_w, dist_h)`` rows of the
-per-seed route.  Two seeds take that route (the joint search lost to two
-BFS up to about n = 5 000), as do more than 64 seeds and seeds that
-``FINISH_DEPTH`` levels leave unconnected.  A node joins at most one
-frontier a seed, so the 64 levels before cost at most ``PULL_FACTOR``
-BFS a seed in word operations (3.4 ms against 178 ms for the seven rows on
-a 200 k-node path).
+seed pair resolves at the level where one seed's row gains the other's bit,
+and the search stops at the first level where Kruskal on the resolved pairs,
+unresolved pairs ``inf``, spans the seeds.  Its tree is the tree of the full
+closure: the resolved pairs sort first and already connect the seeds, and
+every unresolved pair is longer.  Each level's ``(front, words)`` is kept,
+and the walk of a tree edge ``(a, b)`` reads ``b``'s distances rebuilt from
+the levels below ``d(a, b)`` plus ``a`` itself, ``inf`` elsewhere, never
+past the stop level.  That is exact for the walk: from a node at distance
+``t`` it steps only to a neighbour at ``t - 1``, which the rebuilt row
+holds, and a neighbour shown ``inf`` lies at ``t`` or ``t + 1``.  A node
+gains bits at most once a level and once a seed, so the kept levels hold at
+most n * min(k, levels) entries for k seeds, never more than the k full
+``(dist_w, dist_h)`` rows of the per-seed route.  Two seeds take that route
+(the joint search lost to two BFS up to about n = 5 000), as do more than 64
+seeds and seeds that ``FINISH_DEPTH`` levels leave unconnected.  A node
+joins at most one frontier a seed, so the 64 levels before cost at most
+``PULL_FACTOR`` BFS a seed in word operations (3.4 ms against 178 ms for the
+seven rows on a 200 k-node path).
 Weights come from ``dijkstra``, then hops from a BFS over the *tight* edges
 ``u -> v`` with ``dist_w[u] + w_uv == dist_w[v]``.  The equality is exact:
 a float Dijkstra sets ``dist_w[v]`` to the smallest rounded sum ``dist_w[u]
@@ -108,17 +107,13 @@ orientation, each time by a relative ``u = 2**-53`` at most; so ``d(b -> a)
 <= d(a -> b) (1 + 2(n - 2)u)`` to first order.  The margin ``2nu`` covers
 that and the rounding of the limit itself up to about ``2**26`` nodes.  If a
 walk source still reads ``inf``, the row is computed again without a limit,
-so a limited row never yields a false disconnected pair.  On comm-large's
-seed sets (20 k nodes, 100 k edges, 7 seeds) that is 6 full rows, one
-limited row and about 4 hop rows over a median 22 % of the nodes, where
-the per-seed route computed 7 full rows of each: 84 against 63 ms a
-connector on a 2-core x86-64.
+so a limited row never yields a false disconnected pair.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,12 +142,12 @@ class Graph:
             raise InputError(f"node_count {node_count} exceeds the limit of {MAX_NODES}")
         n = node_count
         try:
-            ea = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
-            ea = ea.reshape(0, 2) if ea.size == 0 else ea
+            ea = _integer_ids(edges if isinstance(edges, np.ndarray) else list(edges))
         except (OverflowError, TypeError, ValueError):
             ea = None
-        if ea is None or ea.ndim != 2 or ea.shape[1] != 2:
+        if ea is None or ea.size and (ea.ndim != 2 or ea.shape[1] != 2):
             raise InputError("edges must be pairs of integer node ids")
+        ea = ea.reshape(-1, 2)
         u, v = ea[:, 0], ea[:, 1]
         outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         bad = outside | (u == v)
@@ -216,6 +211,17 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
+def _integer_ids(values) -> np.ndarray | None:
+    """``values`` as an int64 array when every entry is an integer of a
+    numeric dtype (``2`` or ``2.0``, not ``2.5`` or ``"2"``), else None."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        return None
+    with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, caught below
+        ids = a.astype(np.int64, copy=False)
+    return ids if a.dtype.kind in "bi" or (ids == a).all() else None
+
+
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The ranges ``lo[i]:hi[i]`` concatenated, without a Python loop."""
     cnt = hi - lo
@@ -266,6 +272,13 @@ class EdgeWeights:
         return EdgeWeights(self.graph, values)
 
 
+def _check_weights(g: Graph, weights: EdgeWeights) -> None:
+    """Raise :class:`InputError` unless ``weights`` key the edges of ``g``."""
+    h = weights.graph
+    if h is not g and (h.node_count != g.node_count or not np.array_equal(h._keys, g._keys)):
+        raise InputError("edge weights belong to a different graph")
+
+
 def _find_edges(g: Graph, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in ``g.edges()`` of the pairs ``u < v`` (arrays of any one
     shape), and whether each pair is an edge: a binary search of the sorted
@@ -293,8 +306,12 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
         raise InputError("node set contains ids outside the graph")
     remap = np.full(g.node_count, -1, dtype=np.int64)
     remap[olds] = np.arange(len(olds))
-    inside = remap[np.column_stack(np.divmod(g._keys[g.edges_within(olds)], g.node_count))]
-    return Graph(len(olds), inside), olds
+    return Graph(len(olds), remap[_edges_among(g, olds)]), olds
+
+
+def _edges_among(g: Graph, nodes) -> np.ndarray:
+    """The (E', 2) edges with both ends in ``nodes``; decodes only their keys."""
+    return np.column_stack(np.divmod(g._keys[g.edges_within(nodes)], g.node_count))
 
 
 def largest_component(g: Graph) -> list[int]:
@@ -420,14 +437,13 @@ def _bit_bfs(g: Graph, sources: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.
 
 def _seed_hop_closure(g: Graph, seeds: Sequence[int]):
     """Hop closure of 2 to 64 ascending, distinct seeds from one search over
-    :func:`_bit_levels`, stopped at the first level whose resolved pairs
-    connect every seed (see the design notes).  Returns the ``(k, k)`` seed
-    distances, ``inf`` for a pair unresolved at the stop, and ``walks(tree)``:
-    for each tree edge ``(a, b)``, what the walk from seed ``a`` to seed
-    ``b`` reads of ``b``'s distances, rebuilt from the recorded levels below
-    ``d(a, b)`` plus ``a`` itself (``inf`` elsewhere), as one float row that
-    serves :func:`_reconstruct_path` for both weights and hops.  Returns None
-    when ``FINISH_DEPTH`` levels leave the seeds unconnected."""
+    :func:`_bit_levels`, stopped at the first level where Kruskal on the
+    resolved pairs spans the seeds (see the design notes).  Returns the
+    ``(k, k)`` seed distances, ``inf`` for a pair unresolved at the stop, and
+    ``walks(tree)``: for each tree edge ``(i, j)`` of seed indices, the
+    distances of seed ``j`` that the walk from seed ``i`` reads, as one float
+    row that serves :func:`_reconstruct_path` for both weights and hops.
+    Returns None when ``FINISH_DEPTH`` levels leave the seeds unconnected."""
     s = np.asarray(seeds, dtype=np.int64)
     k = len(s)
     bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
@@ -444,7 +460,7 @@ def _seed_hop_closure(g: Graph, seeds: Sequence[int]):
             i, j = np.nonzero(fw[at[on]] & bits)
             hops[on[i], j] = level
             resolved += len(i)
-            if resolved >= 2 * (k - 1) and _spans(hops):  # enough pairs for a tree
+            if resolved >= 2 * (k - 1) and _kruskal(hops) is not None:  # enough for a tree
                 break
         if level == FINISH_DEPTH:
             return None
@@ -454,29 +470,16 @@ def _seed_hop_closure(g: Graph, seeds: Sequence[int]):
 
     def walks(tree: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
         out = []
-        for a, b in tree:
-            ia, ib = s.searchsorted([a, b])
-            d = int(hops[ia, ib])
-            hit = np.flatnonzero(got[:ends[d - 1]] & bits[ib])
+        for i, j in tree:
+            d = int(hops[i, j])
+            hit = np.flatnonzero(got[:ends[d - 1]] & bits[j])
             dist = np.full(g.node_count, np.inf)
             dist[nodes[hit]] = level_of[hit]
-            dist[a] = d
+            dist[s[i]] = d
             out.append((dist, dist))
         return out
 
     return hops, walks
-
-
-def _spans(hops: np.ndarray) -> bool:
-    """Whether the finite entries of a symmetric distance matrix connect
-    all its rows: the rows joined to the first, grown to a fixed point."""
-    joined = np.isfinite(hops[0])
-    while not joined.all():
-        grown = np.isfinite(hops[joined]).any(axis=0)
-        if (grown == joined).all():
-            return False
-        joined = grown
-    return True
 
 
 def _push(indices, lo, hi, fw, seen):
@@ -559,28 +562,28 @@ def _seed_weight_closure(g: Graph, seeds: Sequence[int], weights: EdgeWeights):
     only what the closure and the walks read (see the module design notes).
     Returns the ``(k, k)`` seed distances, the largest seed's row ``inf``
     because the closure reads only the smaller seed's row, and
-    ``walks(tree)``: for each edge ``(a, b)`` of a spanning tree of that
-    closure, the ``(dw, dh)`` of ``b`` that the walk from ``a`` reads, its
-    hops only within the ball ``dw <= max dw[a]`` over ``b``'s tree edges."""
+    ``walks(tree)``: for each edge ``(i, j)`` of seed indices of a spanning
+    tree of that closure, the ``(dw, dh)`` of seed ``j`` that the walk from
+    seed ``i`` reads, its hops only within the ball its tree edges reach."""
+    _check_weights(g, weights)
     W = weights.weighted_csr()
     s = np.asarray(seeds, dtype=np.int64)
+    k = len(s)
     head = csgraph.dijkstra(W, indices=s[:-1])
-    rows = dict(zip(s[:-1].tolist(), head))
-    dist = np.vstack([head[:, s], np.full(len(s), np.inf)])
-    last = int(s[-1])
+    rows = [*head, None]  # the largest seed's row comes with the tree
+    dist = np.vstack([head[:, s], np.full(k, np.inf)])
 
     def walks(tree: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-        ends = [a for a, b in tree if b == last]  # the largest seed is in every tree
-        at = s.searchsorted(ends)
-        limit = dist[at, -1].max() * (1.0 + _orientation_margin(g.node_count))
-        rows[last] = csgraph.dijkstra(W, indices=last, limit=limit)
-        if np.isinf(rows[last][ends]).any():  # rounded past the margin
-            rows[last] = csgraph.dijkstra(W, indices=last)
+        ends = [i for i, j in tree if j == k - 1]  # the largest seed is in every tree
+        limit = dist[ends, -1].max() * (1.0 + _orientation_margin(g.node_count))
+        rows[-1] = csgraph.dijkstra(W, indices=s[-1], limit=limit)
+        if np.isinf(rows[-1][s[ends]]).any():  # rounded past the margin
+            rows[-1] = csgraph.dijkstra(W, indices=s[-1])
         reach: dict[int, float] = {}
-        for a, b in tree:
-            reach[b] = max(reach.get(b, 0.0), rows[b][a])
-        hops = {b: _tight_hops(W, rows[b], b, r) for b, r in reach.items()}
-        return [(rows[b], hops[b]) for _, b in tree]
+        for i, j in tree:
+            reach[j] = max(reach.get(j, 0.0), rows[j][s[i]])
+        hops = {j: _tight_hops(W, rows[j], s[j], r) for j, r in reach.items()}
+        return [(rows[j], hops[j]) for _, j in tree]
 
     return dist, walks
 
@@ -609,36 +612,33 @@ def _reconstruct_path(g: Graph, src: int, dst: int, dw: np.ndarray, dh: np.ndarr
 
 # -- spanning trees ---------------------------------------------------------
 
-def minimum_spanning_tree(nodes: Sequence[int],
-                          weight: Mapping[tuple[int, int], float]) -> list[tuple[int, int]]:
-    """Kruskal MST of the complete graph over ``nodes`` with the given pair
-    weights (keyed on (min, max) tuples; ``inf`` marks an absent edge).
-
-    Ties are broken by lexicographic edge order.  Raises
-    :class:`InfeasibleError` when the finite-weight edges cannot connect all
-    nodes.
-    """
-    nodes = sorted(set(nodes))
-    if not nodes:
+def minimum_spanning_tree(dist: np.ndarray) -> list[tuple[int, int]]:
+    """Kruskal MST on the rows of a ``(k, k)`` closure, read at ``dist[i, j]``
+    for ``i < j`` only (``inf``: no edge): index pairs ``(i, j)`` in pick
+    order, candidates sorted by ``(dist, i, j)``.  Raises
+    :class:`InfeasibleError` when the finite entries leave rows unconnected."""
+    if not len(dist):
         raise InputError("empty node set")
-    if len(nodes) == 1:
-        return []
-    cand = []
-    for ia, a in enumerate(nodes):
-        for b in nodes[ia + 1:]:
-            w = weight[(a, b)]
-            if math.isfinite(w):
-                cand.append((w, a, b))
-    cand.sort()
-    fragment = {v: v for v in nodes}  # each node's fragment label
-    tree = []
-    for w, a, b in cand:
-        fa, fb = fragment[a], fragment[b]
-        if fa != fb:
-            for v in nodes:
-                if fragment[v] == fb:
-                    fragment[v] = fa
-            tree.append((a, b))
-            if len(tree) == len(nodes) - 1:
-                return tree
-    raise InfeasibleError("seeds in different components")
+    tree = _kruskal(dist)
+    if tree is None:
+        raise InfeasibleError("seeds in different components")
+    return tree
+
+
+def _kruskal(dist: np.ndarray) -> list[tuple[int, int]] | None:
+    """The tree of :func:`minimum_spanning_tree`, or None when the rows stay
+    unconnected.  Plain Python: at these sizes numpy's overhead costs more."""
+    d = dist.tolist()
+    k = len(d)
+    cand = sorted((w, i, j) for i, row in enumerate(d)
+                  for j, w in enumerate(row[i + 1:], i + 1) if w < math.inf)
+    fragment = list(range(k))  # each row's fragment label
+    tree: list[tuple[int, int]] = []
+    for _, i, j in cand:
+        fi, fj = fragment[i], fragment[j]
+        if fi != fj:
+            fragment = [fi if f == fj else f for f in fragment]
+            tree.append((i, j))
+            if len(tree) == k - 1:
+                break
+    return tree if len(tree) == k - 1 else None

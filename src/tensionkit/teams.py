@@ -48,7 +48,7 @@ import numpy as np
 from .community import Solution, Solver, community_solver, proxy_weights
 from .conformation import equilibrium_tensions, profile_matrix
 from .errors import InfeasibleError, InputError
-from .graph import EdgeWeights, Graph, largest_component
+from .graph import EdgeWeights, Graph, largest_component, _check_weights
 
 GROWTH_ELEMENTS = 1 << 23  # cap on starts x nodes grown in one batch
 # block size sqrt(BLOCK_FACTOR * C / max degree): of 1, 4, 16 and 64, 16 ran
@@ -189,6 +189,7 @@ def greedy_fixed_size(g: Graph, latent, k: int,
         raise InputError("sampled_starts must be at least 1")
     if weights is None:
         weights = proxy_weights(g, latent)
+    _check_weights(g, weights)
     n = g.node_count
     if n <= all_starts_limit:
         starts = np.arange(n)

@@ -10,7 +10,9 @@ the CSR ``Graph`` replaced, and the reference greedy growth runs one Python
 heap per start.  The reference peel and growth loop over Python lists read
 off the CSR arrays (``adjacency_lists``).  The reference seed sampling reads
 its spreads off a sources x nodes hop distance matrix.  The reference
-connector computes a full distance row per seed, hops or weights.  The
+connector computes a full distance row per seed, hops or weights, and
+connects the seeds by the Kruskal over a dict of seed pairs that the
+package replaced with one over the closure matrix.  The
 reference edge-list and profile readers are the per-line loops that ran
 before the numpy parse.
 """
@@ -28,8 +30,7 @@ from hypothesis import HealthCheck, settings
 
 from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError, SeedGroup,
                         evaluate_solution, largest_component, proxy_weights)
-from tensionkit.graph import (_reconstruct_path, hop_distance_matrix,
-                              minimum_spanning_tree, path_distances)
+from tensionkit.graph import _reconstruct_path, hop_distance_matrix, path_distances
 
 settings.register_profile(
     "default",
@@ -371,6 +372,37 @@ def reference_sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 10
     return tuple(groups)
 
 
+def reference_minimum_spanning_tree(nodes, weight):
+    """``graph.minimum_spanning_tree`` as it ran before it took the closure
+    matrix: Kruskal over the pair weights keyed on ``(min, max)`` node
+    tuples (``inf``: no edge), ties by lexicographic edge order, node pairs
+    in pick order."""
+    nodes = sorted(set(nodes))
+    if not nodes:
+        raise InputError("empty node set")
+    if len(nodes) == 1:
+        return []
+    cand = []
+    for ia, a in enumerate(nodes):
+        for b in nodes[ia + 1:]:
+            w = weight[(a, b)]
+            if math.isfinite(w):
+                cand.append((w, a, b))
+    cand.sort()
+    fragment = {v: v for v in nodes}  # each node's fragment label
+    tree = []
+    for w, a, b in cand:
+        fa, fb = fragment[a], fragment[b]
+        if fa != fb:
+            for v in nodes:
+                if fragment[v] == fb:
+                    fragment[v] = fa
+            tree.append((a, b))
+            if len(tree) == len(nodes) - 1:
+                return tree
+    raise InfeasibleError("seeds in different components")
+
+
 def reference_hop_connector(g: Graph, seeds):
     """``seed_connector`` in hop mode as it ran before the joint search."""
     return reference_weighted_connector(g, seeds, None)
@@ -387,7 +419,7 @@ def reference_weighted_connector(g: Graph, seeds, weights):
     dists = {s: path_distances(g, s, weights) for s in seeds}
     closure = {(a, b): float(dists[a][0][b]) for a, b in itertools.combinations(seeds, 2)}
     nodes, edges = set(seeds), set()
-    for a, b in minimum_spanning_tree(seeds, closure):
+    for a, b in reference_minimum_spanning_tree(seeds, closure):
         dw, dh = dists[b]
         path = _reconstruct_path(g, a, b, dw, dh, weights)
         nodes.update(path)

@@ -9,7 +9,7 @@ from tensionkit import (VARIANT_TAGS, ConvergenceError, EdgeWeights, Graph,
                         InfeasibleError, InputError, community_solver,
                         evaluate_solution, peel_community, proxy_weights,
                         tree_community)
-from tensionkit import community, graph
+from tensionkit import community, graph, greedy_fixed_size, standardized_metrics
 from tensionkit.community import PEEL_VARIANTS, seed_connector
 from tensionkit.conformation import DENSE_LIMIT
 from tensionkit.graph import path_distances
@@ -106,6 +106,64 @@ class TestNonFiniteProfiles:
     def test_evaluate_solution_rejects_nan(self):
         with pytest.raises(InputError, match="NaN or infinite"):
             evaluate_solution(self.g, self.X, [0, 1, 2])
+
+
+# -- inputs that used to be read silently at the library boundary
+
+class TestWeightsOfAnotherGraph:
+    """Weights of the path 0-1-2-3-4 used on the path 0-4-3-2-1: same node
+    and edge counts, other edges."""
+    X = np.array([[0.0], [0.3], [0.5], [0.9], [1.0]])
+    PATH = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    OTHER = Graph(5, [(0, 4), (4, 3), (3, 2), (2, 1)])
+    W = proxy_weights(PATH, X)
+    CALLS = {
+        "seed_connector": lambda g, X, w: seed_connector(g, [0, 1], w),
+        "tree_community": lambda g, X, w: tree_community(g, X, [0, 1], "weights", w),
+        "peel_community": lambda g, X, w: peel_community(g, X, [0, 1], "sum", weights=w),
+        "greedy_fixed_size": lambda g, X, w: greedy_fixed_size(g, X, 3, weights=w),
+        "standardized_metrics": lambda g, X, w: standardized_metrics(
+            g, w, evaluate_solution(g, X, [2, 3, 4]), [0, 1]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, call):
+        with pytest.raises(InputError, match="different graph"):
+            self.CALLS[call](self.OTHER, self.X, self.W)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_equal_graph_built_separately_accepted(self, call):
+        again = Graph(5, [(4, 3), (3, 2), (2, 1), (1, 0)])
+        assert self.CALLS[call](self.PATH, self.X, self.W) == self.CALLS[call](
+            self.PATH, self.X, proxy_weights(again, self.X))
+
+
+class TestIntegerNodeIds:
+    g = Graph(3, [(0, 1), (1, 2)])
+    X = np.array([[0.0], [0.4], [1.0]])
+
+    @pytest.mark.parametrize("call", [
+        lambda g, X: Graph(3, [(0, 1.5)]),
+        lambda g, X: Graph(3, [(0, "1")]),
+        lambda g, X: Graph(3, np.array([[0, np.nan]])),
+        lambda g, X: seed_connector(g, [0, 2.9]),
+        lambda g, X: peel_community(g, X, [0, 2.5]),
+        lambda g, X: tree_community(g, X, ["0", 2]),
+        lambda g, X: evaluate_solution(g, X, [0, 1.7]),
+    ], ids=["graph-float", "graph-str", "graph-nan", "seed_connector", "peel_community",
+            "tree_community-str", "evaluate_solution"])
+    def test_non_integer_ids_rejected(self, call):
+        with pytest.raises(InputError, match="integer node ids"):
+            call(self.g, self.X)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64, np.float64])
+    def test_integer_valued_ids_of_any_numeric_dtype_accepted(self, dtype):
+        g = Graph(3, np.array([[1, 0], [2, 1]], dtype=dtype))
+        assert g.edges() == self.g.edges()
+        seeds = np.array([0, 2], dtype=dtype)
+        assert seed_connector(g, seeds) == ({0, 1, 2}, {(0, 1), (1, 2)})
+        sol = evaluate_solution(g, self.X, np.array([0, 1], dtype=dtype))
+        assert sol.nodes == {0, 1} and all(type(v) is int for v in sol.nodes)
 
 
 # -- solution scoring ----------------------------------------------------------

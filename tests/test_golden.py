@@ -18,7 +18,8 @@ answers regenerates the corpus (and says so) with::
     PYTHONPATH=src python3 tests/test_golden.py
 
 which rewrites only the files that are missing or whose test fails, so
-float drift within the tolerance leaves no diff.
+float drift within the tolerance leaves no diff.  It prints each file it
+rewrites, or ``golden corpus unchanged``.
 """
 
 import csv
@@ -228,17 +229,19 @@ def check_cardinality(got, want):
 
 # -- regeneration --------------------------------------------------------------
 
-def write_if_stale(path: Path, text: str, read, check) -> None:
+def write_if_stale(path: Path, text: str, read, check) -> bool:
     """Write ``text`` to ``path`` unless the file exists and its own test,
     ``check(read(text), read(file))``, passes: answers that drift within
-    ``REL`` leave the corpus as it is."""
+    ``REL`` leave the corpus as it is.  Returns whether it wrote."""
     if path.exists():
         try:
             check(read(text), read(path.read_text()))
-            return
+            return False
         except AssertionError:
             pass
     path.write_text(text)
+    print(f"rewrote {path}")
+    return True
 
 
 def check_planted_cases(got, want):
@@ -251,20 +254,26 @@ def check_planted_cases(got, want):
 
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
+    wrote = []
     with tempfile.TemporaryDirectory() as d:
         for name, rows in ring_outputs(Path(d)).items():
             text = io.StringIO()
             csv.writer(text, lineterminator="\n").writerows(rows)
-            write_if_stale(ring_golden_path(name), text.getvalue(), read_csv, check_ring)
+            wrote.append(write_if_stale(ring_golden_path(name), text.getvalue(), read_csv,
+                                        check_ring))
     g, X, weights, groups = planted_fixture()
     cases = [{"group": label, "index": index, "seeds": list(seeds),
               "variants": solve_case(g, X, weights, label, index, seeds)}
              for label, index, seeds in pick_cases(groups)]
-    write_if_stale(GOLDEN / "planted.json", json.dumps({"cases": cases}, indent=1) + "\n",
-                   read_cases, check_planted_cases)
+    wrote.append(write_if_stale(GOLDEN / "planted.json",
+                                json.dumps({"cases": cases}, indent=1) + "\n",
+                                read_cases, check_planted_cases))
     cases = solve_cardinality(*cardinality_fixture())
-    write_if_stale(GOLDEN / "cardinality_gnm.json",
-                   json.dumps({"cases": cases}, indent=1) + "\n", read_cases, check_cardinality)
+    wrote.append(write_if_stale(GOLDEN / "cardinality_gnm.json",
+                                json.dumps({"cases": cases}, indent=1) + "\n",
+                                read_cases, check_cardinality))
+    if not any(wrote):
+        print("golden corpus unchanged")
 
 
 if __name__ == "__main__":

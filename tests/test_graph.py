@@ -15,7 +15,8 @@ from tensionkit.synthetic import gnm_graph
 
 from conftest import (OracleUnionFind, adjacency_lists, edge_weights,
                       random_graph_and_profiles, reference_components, reference_csr,
-                      reference_graph, reference_path_distances)
+                      reference_graph, reference_minimum_spanning_tree,
+                      reference_path_distances)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -621,40 +622,71 @@ def _all_simple_paths(g, src, dst):
 
 # -- minimum spanning tree ----------------------------------------------------
 
+_CLOSURE_KINDS = {
+    "uniform": lambda rng, shape: rng.random(shape),
+    "ints": lambda rng, shape: rng.integers(0, 4, shape).astype(float),  # ties
+    "plateaus": lambda rng, shape: 0.1 * rng.integers(0, 2, shape),  # zero plateaus
+}
+
+
 class TestMinimumSpanningTree:
     def test_single_node(self):
-        assert minimum_spanning_tree([7], {}) == []
+        assert minimum_spanning_tree(np.zeros((1, 1))) == []
+
+    def test_empty_closure_rejected(self):
+        with pytest.raises(InputError, match="empty node set"):
+            minimum_spanning_tree(np.zeros((0, 0)))
 
     def test_two_nodes_forced(self):
-        assert minimum_spanning_tree([1, 4], {(1, 4): 2.5}) == [(1, 4)]
+        assert minimum_spanning_tree(np.array([[0.0, 2.5], [2.5, 0.0]])) == [(0, 1)]
 
     def test_three_node_example(self):
-        tree = minimum_spanning_tree([0, 1, 2], {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0})
+        tree = minimum_spanning_tree(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]))
         assert sorted(tree) == [(0, 1), (0, 2)]
 
     def test_unreachable_pair_rejected(self):
         with pytest.raises(InfeasibleError, match="different components"):
-            minimum_spanning_tree([0, 1], {(0, 1): float("inf")})
+            minimum_spanning_tree(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
     def test_tie_broken_lexicographically(self):
-        tree = minimum_spanning_tree([0, 1, 2], {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+        tree = minimum_spanning_tree(np.ones((3, 3)))
         assert sorted(tree) == [(0, 1), (0, 2)]
 
     @given(st.integers(3, 6), st.integers(0, 10_000))
     @settings(max_examples=60)
     def test_total_weight_matches_brute_force(self, k, seed):
         rng = np.random.default_rng(seed)
-        nodes = list(range(k))
-        weights = {(a, b): float(rng.random())
-                   for a, b in itertools.combinations(nodes, 2)}
-        tree = minimum_spanning_tree(nodes, weights)
+        dist = rng.random((k, k))
+        dist = np.triu(dist) + np.triu(dist, 1).T
+        tree = minimum_spanning_tree(dist)
         assert len(tree) == k - 1
-        total = sum(weights[e] for e in tree)
+        total = sum(dist[e] for e in tree)
         best = min(
-            sum(weights[e] for e in combo)
-            for combo in itertools.combinations(sorted(weights), k - 1)
-            if _spans(combo, nodes))
+            sum(dist[e] for e in combo)
+            for combo in itertools.combinations(itertools.combinations(range(k), 2), k - 1)
+            if _spans(combo, range(k)))
         assert total == pytest.approx(best, rel=1e-12)
+
+    @given(st.integers(0, 100_000), st.sampled_from([1, 2, 3, 7, 20, 64]),
+           st.sampled_from(sorted(_CLOSURE_KINDS)), st.sampled_from([0.0, 0.3, 0.8]))
+    @settings(max_examples=300)
+    def test_matches_the_pair_dict_kruskal(self, seed, k, kind, absent):
+        """The same index pairs in the same order, or the same error, as the
+        Kruskal over a dict of seed pairs; the entries below the diagonal are
+        drawn apart from those above and must not be read."""
+        rng = np.random.default_rng(seed)
+        dist = _CLOSURE_KINDS[kind](rng, (k, k))
+        dist[rng.random((k, k)) < absent] = np.inf
+        closure = {(i, j): float(dist[i, j]) for i, j in itertools.combinations(range(k), 2)}
+        try:
+            want = reference_minimum_spanning_tree(range(k), closure)
+        except InfeasibleError as e:
+            want = str(e)
+        try:
+            got = minimum_spanning_tree(dist)
+        except InfeasibleError as e:
+            got = str(e)
+        assert got == want
 
 
 def _spans(edge_combo, nodes):
