@@ -76,22 +76,13 @@ def proxy_weights(g: Graph, latent, norm: str = "l2") -> EdgeWeights:
     return EdgeWeights(g, vals)
 
 
-def _sorted_ids(nodes, what: str) -> list[int]:
-    """``nodes`` as sorted distinct ints; :class:`InputError` when empty or
-    when one is not an integer of a numeric dtype."""
-    ids = _integer_ids(list(nodes))
-    if ids is None or ids.ndim != 1:
-        raise InputError(f"{what}s must be integer node ids")
+def _check_ids(g: Graph, nodes, what: str = "seed") -> list[int]:
+    """``nodes``, a flat list of node ids of ``g`` (``graph._integer_ids``),
+    as sorted distinct ints; :class:`InputError` otherwise or when empty."""
+    ids = _integer_ids(nodes, what, g.node_count, ndim=1)
     if not len(ids):
         raise InputError(f"empty node set: at least one {what} is required")
     return np.unique(ids).tolist()
-
-
-def _check_seeds(g: Graph, seeds) -> list[int]:
-    uniq = _sorted_ids(seeds, "seed")
-    if uniq[0] < 0 or uniq[-1] >= g.node_count:
-        raise InputError("seed outside the graph's node range")
-    return uniq
 
 
 def evaluate_solution(g: Graph, latent, nodes, algorithm_tag: str = "custom",
@@ -99,7 +90,7 @@ def evaluate_solution(g: Graph, latent, nodes, algorithm_tag: str = "custom",
     """Score a connected node set by the tension of its induced subgraph at
     equilibrium: :func:`equilibrium_tensions` on a batch of one (exact up to
     ``DENSE_LIMIT`` nodes, within ``tol`` in max-norm above)."""
-    olds = _sorted_ids(nodes, "node")
+    olds = _check_ids(g, nodes, "node")
     tension, edges = equilibrium_tensions(g, latent, [olds], tol=tol)
     return Solution(frozenset(olds), int(edges[0]), float(tension[0]), algorithm_tag)
 
@@ -146,7 +137,7 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
     :func:`minimum_spanning_tree` of the route's ``(k, k)`` closure, as seed
     index pairs.  Returns the union of path nodes and of path edges.
     """
-    seeds = _check_seeds(g, seeds)
+    seeds = _check_ids(g, seeds)
     if len(seeds) == 1:
         return {seeds[0]}, set()
     if weights is not None:
@@ -237,7 +228,7 @@ def peel_community(g: Graph, latent, seeds, variant: str = "sum",
     """
     if variant not in PEEL_VARIANTS:
         raise InputError(f"unknown peel variant {variant!r} (expected one of {PEEL_VARIANTS})")
-    seeds = _check_seeds(g, seeds)
+    seeds = _check_ids(g, seeds)
     seed_set = set(seeds)
     n = g.node_count
     indptr, indices = g.indptr, g.indices

@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, InfeasibleError, InputError
-from .graph import Graph, _edges_among, _find_edges
+from .graph import Graph, _edges_among, _find_edges, _integer_ids
 
 DENSE_LIMIT = 250  # largest set solved densely (see the module docstring)
 BATCH_ELEMENTS = 1 << 18  # cap on B * k * k in one stacked dense solve
@@ -161,9 +161,11 @@ def equilibrium_tensions(g: Graph, latent, sets, tol: float = 1e-9
     """
     X = profile_matrix(g, latent)
     _check_tol(tol)
-    sets = np.asarray(sets, dtype=np.int64)
-    if (sets.ndim != 2 or not sets.size or sets.min() < 0
-            or sets.max() >= g.node_count or (np.diff(sets) <= 0).any()):
+    try:
+        sets = _integer_ids(sets, "node", g.node_count, ndim=2)
+    except InputError:  # worded below, as every malformed batch
+        sets = None
+    if sets is None or not sets.size or (np.diff(sets) <= 0).any():
         raise InputError("node sets must be rows of ascending distinct ids in the graph")
     B, k = sets.shape
     tension, edges = np.empty(B), np.empty(B, np.int64)
@@ -199,8 +201,7 @@ def node_tension(g: Graph, latent, conformed, i: int) -> float:
     attributes."""
     X = profile_matrix(g, latent)
     F = profile_matrix(g, conformed, like=X)
-    if not (0 <= i < g.node_count):
-        raise InputError(f"node id {i} outside the graph")
+    i = int(_integer_ids(i, "node", g.node_count, ndim=0))
     internal = float(np.sum((X[i] - F[i]) ** 2))
     social = 0.0
     for j in g.indices[g.indptr[i]:g.indptr[i + 1]].tolist():

@@ -13,6 +13,7 @@ search of the keys.
 scipy copies the index arrays to int32 in each ``csr_matrix`` it hands to
 ``csgraph``, hence ``MAX_NODES``, which also keeps the keys within int64;
 below it, a graph still allocates O(node count).
+Every public function that takes node ids checks them with ``_integer_ids``.
 Shortest paths are resolved by the composite key ``(total weight, hop count,
 node sequence)``: among minimum-weight paths the fewest-hop ones win, and
 among those the lexicographically smallest node sequence wins.  The hop
@@ -142,8 +143,8 @@ class Graph:
             raise InputError(f"node_count {node_count} exceeds the limit of {MAX_NODES}")
         n = node_count
         try:
-            ea = _integer_ids(edges if isinstance(edges, np.ndarray) else list(edges))
-        except (OverflowError, TypeError, ValueError):
+            ea = _integer_ids(edges, "edge")
+        except InputError:
             ea = None
         if ea is None or ea.size and (ea.ndim != 2 or ea.shape[1] != 2):
             raise InputError("edges must be pairs of integer node ids")
@@ -193,7 +194,7 @@ class Graph:
         blocks hold more than a third of them, about where the mask was
         timed to become the cheaper of the two."""
         keep = np.zeros(self.node_count, dtype=bool)
-        keep[np.fromiter(nodes, dtype=np.int64)] = True
+        keep[_integer_ids(nodes, "node", self.node_count)] = True
         members = np.flatnonzero(keep)
         lo, hi = self._keys.searchsorted(np.stack([members, members + 1]) * self.node_count)
         if 3 * (hi - lo).sum() > self.edge_count:
@@ -211,15 +212,27 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
-def _integer_ids(values) -> np.ndarray | None:
-    """``values`` as an int64 array when every entry is an integer of a
-    numeric dtype (``2`` or ``2.0``, not ``2.5`` or ``"2"``), else None."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "biuf":
-        return None
+def _integer_ids(values, what: str, n: int | None = None, ndim: int | None = None) -> np.ndarray:
+    """The node ids ``values`` (a scalar, an array or any iterable) as an
+    int64 array.  Raises :class:`InputError` ``<what>s must be integer node
+    ids`` unless each is an integer of a numeric dtype (``2`` or ``2.0``, not
+    ``2.5``, ``"2"``, NaN or a ragged nesting), in ``ndim`` dimensions if
+    given, and, given the node count ``n``, ``<what> outside the graph's node
+    range`` unless each is in 0..n-1."""
+    try:
+        a = np.asarray(values)
+        if a.dtype == object and not a.ndim:  # a set or an iterator
+            a = np.asarray(list(values))
+    except (OverflowError, TypeError, ValueError):  # ragged, or not iterable
+        a = np.asarray(None)
     with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, caught below
-        ids = a.astype(np.int64, copy=False)
-    return ids if a.dtype.kind in "bi" or (ids == a).all() else None
+        ids = a.astype(np.int64, copy=False) if a.dtype.kind in "biuf" else None
+    if (ids is None or ndim is not None and ids.ndim != ndim
+            or a.dtype.kind not in "bi" and not (ids == a).all()):
+        raise InputError(f"{what}s must be integer node ids")
+    if n is not None and ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise InputError(f"{what} outside the graph's node range")
+    return ids
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -262,8 +275,7 @@ class EdgeWeights:
     def with_zeroed(self, pairs: Iterable[tuple[int, int]]) -> "EdgeWeights":
         """Copy with the edges ``pairs`` (tuples or a (k, 2) array) set to
         zero; a pair that is no edge raises :class:`InputError`."""
-        uv = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
-        uv = np.sort(uv.reshape(-1, 2), axis=1)
+        uv = np.sort(_integer_ids(pairs, "edge end").reshape(-1, 2), axis=1)
         at, found = _find_edges(self.graph, uv[:, 0], uv[:, 1])
         if not found.all():
             raise InputError(f"cannot zero non-edge {tuple(uv[np.argmin(found)].tolist())}")
@@ -299,14 +311,13 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
     Returns the new graph plus the sorted list of original ids, i.e. new id
     ``k`` corresponds to original id ``olds[k]``.
     """
-    olds = sorted(set(nodes))
-    if not olds:
+    n = g.node_count
+    olds = np.flatnonzero(np.bincount(_integer_ids(nodes, "node", n, ndim=1), minlength=n))
+    if not len(olds):
         raise InputError("empty node set")
-    if olds[0] < 0 or olds[-1] >= g.node_count:
-        raise InputError("node set contains ids outside the graph")
-    remap = np.full(g.node_count, -1, dtype=np.int64)
+    remap = np.full(n, -1, dtype=np.int64)
     remap[olds] = np.arange(len(olds))
-    return Graph(len(olds), remap[_edges_among(g, olds)]), olds
+    return Graph(len(olds), remap[_edges_among(g, olds)]), olds.tolist()
 
 
 def _edges_among(g: Graph, nodes) -> np.ndarray:
@@ -348,7 +359,7 @@ def _as_hops(dist: np.ndarray) -> np.ndarray:
 
 def hop_distance_matrix(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """Hop distances from each source to every node (inf where unreachable)."""
-    return _hop_rows(g.adjacency_csr(), np.asarray(sources, dtype=np.int64).reshape(-1))
+    return _hop_rows(g.adjacency_csr(), _integer_ids(sources, "source", g.node_count).reshape(-1))
 
 
 def pair_hop_distances(g: Graph, sources, targets) -> np.ndarray:
@@ -356,13 +367,11 @@ def pair_hop_distances(g: Graph, sources, targets) -> np.ndarray:
     unreachable): one breadth-first search from many sources at once, a bit
     per source, in batches of at most ``64 * words`` sources (see the design
     notes)."""
-    src = np.asarray(sources, dtype=np.int64).reshape(-1)
-    dst = np.asarray(targets, dtype=np.int64).reshape(-1)
+    n = g.node_count
+    src = _integer_ids(sources, "source", n).reshape(-1)
+    dst = _integer_ids(targets, "target", n).reshape(-1)
     if src.shape != dst.shape:
         raise InputError("pair distances need as many targets as sources")
-    n = g.node_count
-    if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-        raise InputError("pair endpoints outside the graph")
     out = np.where(src == dst, 0.0, np.inf)
     todo = np.flatnonzero(src != dst)
     used, col = np.unique(src[todo], return_inverse=True)
@@ -444,7 +453,7 @@ def _seed_hop_closure(g: Graph, seeds: Sequence[int]):
     distances of seed ``j`` that the walk from seed ``i`` reads, as one float
     row that serves :func:`_reconstruct_path` for both weights and hops.
     Returns None when ``FINISH_DEPTH`` levels leave the seeds unconnected."""
-    s = np.asarray(seeds, dtype=np.int64)
+    s = np.array(seeds)  # checked ids, ascending
     k = len(s)
     bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
     hops = np.full((k, k), np.inf)
@@ -527,6 +536,7 @@ def path_distances(g: Graph, src: int,
     Returns ``(dist_w, dist_h)``; unreachable nodes carry ``(inf, -1)``.
     With ``weights=None`` every edge counts 1 and the two arrays agree.
     """
+    src = _integer_ids(src, "source", g.node_count, ndim=0)
     if weights is None:
         dw = _hop_rows(g.adjacency_csr(), src)
         return dw, _as_hops(dw)
@@ -567,7 +577,7 @@ def _seed_weight_closure(g: Graph, seeds: Sequence[int], weights: EdgeWeights):
     seed ``i`` reads, its hops only within the ball its tree edges reach."""
     _check_weights(g, weights)
     W = weights.weighted_csr()
-    s = np.asarray(seeds, dtype=np.int64)
+    s = np.array(seeds)  # checked ids, ascending
     k = len(s)
     head = csgraph.dijkstra(W, indices=s[:-1])
     rows = [*head, None]  # the largest seed's row comes with the tree

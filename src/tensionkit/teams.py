@@ -48,7 +48,7 @@ import numpy as np
 from .community import Solution, Solver, community_solver, proxy_weights
 from .conformation import equilibrium_tensions, profile_matrix
 from .errors import InfeasibleError, InputError
-from .graph import EdgeWeights, Graph, largest_component, _check_weights
+from .graph import EdgeWeights, Graph, largest_component, _check_weights, _integer_ids, _ranges
 
 GROWTH_ELEMENTS = 1 << 23  # cap on starts x nodes grown in one batch
 # block size sqrt(BLOCK_FACTOR * C / max degree): of 1, 4, 16 and 64, 16 ran
@@ -78,16 +78,15 @@ class SkillMap:
         totals: dict[tuple[int, str], int] = {}
         labels: set[str] = set()
         for node, label, count in entries:
-            if not (0 <= node < node_count):
-                raise InputError(f"skill entry names node {node} outside the graph")
             labels.add(label)
             totals[(node, label)] = totals.get((node, label), 0) + count
+        _integer_ids({node for node, _ in totals}, "skill entry node", node_count)
         ordered = tuple(sorted(labels))
         pos = {lab: k for k, lab in enumerate(ordered)}
         holder_sets: list[set[int]] = [set() for _ in ordered]
         for (node, label), count in totals.items():
             if count >= threshold:
-                holder_sets[pos[label]].add(node)
+                holder_sets[pos[label]].add(int(node))
         return cls(ordered, tuple(frozenset(h) for h in holder_sets))
 
     def index(self, label: str) -> int:
@@ -252,10 +251,8 @@ def _grow(g: Graph, values: np.ndarray, k: int, starts: np.ndarray) -> np.ndarra
 
     for step in range(1, k):
         # the last pick's neighbors join (or gain weight in) the frontier
-        lo, cnt = indptr[last], deg[last]
-        first = np.cumsum(cnt) - cnt
-        pos = np.arange(first[-1] + cnt[-1]) + np.repeat(lo - first, cnt)
-        r = np.repeat(live, cnt)
+        pos = _ranges(indptr[last], indptr[last + 1])
+        r = np.repeat(live, deg[last])
         nbr = indices[pos]
         at = r * n + nbr
         f = slot_of[at] - 1

@@ -1,5 +1,7 @@
 """Community search: proxy weights, the tree and peel strategies, scoring."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,13 @@ from hypothesis import strategies as st
 
 from tensionkit import (VARIANT_TAGS, ConvergenceError, EdgeWeights, Graph,
                         InfeasibleError, InputError, community_solver,
-                        evaluate_solution, peel_community, proxy_weights,
-                        tree_community)
+                        evaluate_solution, induced_subgraph, node_tension,
+                        peel_community, proxy_weights, tree_community)
 from tensionkit import community, graph, greedy_fixed_size, standardized_metrics
 from tensionkit.community import PEEL_VARIANTS, seed_connector
 from tensionkit.conformation import DENSE_LIMIT
-from tensionkit.graph import path_distances
+from tensionkit.evaluation import mean_squared_weight
+from tensionkit.graph import hop_distance_matrix, pair_hop_distances, path_distances
 
 from conftest import (adjacency_lists, edge_weights, oracle_is_connected,
                       oracle_min_tension, oracle_tension, random_graph_and_profiles,
@@ -138,22 +141,47 @@ class TestWeightsOfAnotherGraph:
             self.PATH, self.X, proxy_weights(again, self.X))
 
 
+# public functions that take node ids, each called with the one id ``v``
+TAKES_IDS = {
+    "induced_subgraph": lambda g, X, v: induced_subgraph(g, [0, v]),
+    "edges_within": lambda g, X, v: g.edges_within([0, v]),
+    "hop_distance_matrix": lambda g, X, v: hop_distance_matrix(g, [v]),
+    "pair_hop_distances": lambda g, X, v: pair_hop_distances(g, [v], [1]),
+    "path_distances": lambda g, X, v: path_distances(g, v),
+    "node_tension": lambda g, X, v: node_tension(g, X, X, v),
+    "mean_squared_weight": lambda g, X, v: mean_squared_weight(g, proxy_weights(g, X), [1, v]),
+}
+
+
+def _id_cases(values: dict) -> list:
+    return [pytest.param(partial(call, v=v), id=f"{name}-{label}")
+            for name, call in TAKES_IDS.items() for label, v in values.items()]
+
+
 class TestIntegerNodeIds:
     g = Graph(3, [(0, 1), (1, 2)])
     X = np.array([[0.0], [0.4], [1.0]])
 
     @pytest.mark.parametrize("call", [
-        lambda g, X: Graph(3, [(0, 1.5)]),
-        lambda g, X: Graph(3, [(0, "1")]),
-        lambda g, X: Graph(3, np.array([[0, np.nan]])),
-        lambda g, X: seed_connector(g, [0, 2.9]),
-        lambda g, X: peel_community(g, X, [0, 2.5]),
-        lambda g, X: tree_community(g, X, ["0", 2]),
-        lambda g, X: evaluate_solution(g, X, [0, 1.7]),
-    ], ids=["graph-float", "graph-str", "graph-nan", "seed_connector", "peel_community",
-            "tree_community-str", "evaluate_solution"])
+        pytest.param(lambda g, X: Graph(3, [(0, 1.5)]), id="graph-float"),
+        pytest.param(lambda g, X: Graph(3, [(0, "1")]), id="graph-str"),
+        pytest.param(lambda g, X: Graph(3, np.array([[0, np.nan]])), id="graph-nan"),
+        pytest.param(lambda g, X: seed_connector(g, [0, 2.9]), id="seed_connector"),
+        pytest.param(lambda g, X: peel_community(g, X, [0, 2.5]), id="peel_community"),
+        pytest.param(lambda g, X: tree_community(g, X, ["0", 2]), id="tree_community-str"),
+        pytest.param(lambda g, X: evaluate_solution(g, X, [0, 1.7]), id="evaluate_solution"),
+        # a single-node argument given a list
+        pytest.param(lambda g, X: path_distances(g, [0, 1], proxy_weights(g, X)),
+                     id="path_distances-list"),
+        pytest.param(lambda g, X: node_tension(g, X, X, [1]), id="node_tension-list"),
+    ] + _id_cases({"float": 1.5, "str": "1", "nan": np.nan}))
     def test_non_integer_ids_rejected(self, call):
         with pytest.raises(InputError, match="integer node ids"):
+            call(self.g, self.X)
+
+    @pytest.mark.parametrize("call", _id_cases({"negative": -1, "n": 3}))
+    def test_out_of_range_ids_rejected(self, call):
+        with pytest.raises(InputError, match="node range"):
             call(self.g, self.X)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64, np.float64])

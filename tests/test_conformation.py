@@ -302,7 +302,8 @@ class TestExactSolver:
         tension, _ = equilibrium_tensions(g, X, [[0, 1, 2], [1, 2, 3], [0, 3, 4]])
         assert tension.tolist() == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("sets", [[[0, 0]], [[1, 0]], [[0, 4]], [[-1, 0]], [0, 1], [[]]])
+    @pytest.mark.parametrize("sets", [[[0, 0]], [[1, 0]], [[0, 4]], [[-1, 0]], [0, 1], [[]],
+                                      [[0, 1.5]], [[0, np.nan]], [[0, 1], [2]]])
     def test_malformed_sets_rejected(self, sets):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(InputError, match="ascending distinct ids"):

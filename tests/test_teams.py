@@ -42,6 +42,12 @@ class TestSkillMap:
         with pytest.raises(InputError, match="outside the graph"):
             SkillMap.from_counts(2, [(5, "db", 4)])
 
+    @pytest.mark.parametrize("node", [1.5, "1", np.nan])
+    def test_non_integer_node_rejected(self, node):
+        # kept as a holder, it would make form_team report a lost skill
+        with pytest.raises(InputError, match="integer node ids"):
+            SkillMap.from_counts(4, [(0, "a", 4), (node, "a", 4)])
+
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(InputError):
             SkillMap.from_counts(2, [(0, "db", 4)], threshold=0)
