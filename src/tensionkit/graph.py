@@ -88,27 +88,33 @@ Zero weights are edges, kept as explicit CSR entries.
 The weighted seed connector (``_seed_weight_closure``) computes only the
 rows its closure and walks read.  The closure of seeds ``a < b`` reads
 ``a``'s row at ``b``, so every seed but the largest gets one ``dijkstra``
-row and no hop row.  The walk of a tree edge ``(a, b)`` starts at ``a`` and
-steps to ever nearer nodes of ``b``'s row, so it reads that row only where
-``dw_b <= dw_b[a]``.  A walk target ``b`` therefore gets its tight-edge hop
-row (``_tight_hops``) only over the ball ``dw_b <= reach_b``, ``reach_b``
-the largest ``dw_b[a]`` over its tree edges, read from ``b``'s own row.
+row and no hop row, with an inclusive ``limit``: the bottleneck ``U`` of the
+Voronoi-boundary graph times ``1 + _orientation_margin(n)``.  One
+multi-source ``dijkstra`` gives each node its nearest seed, and each edge
+``(u, v)`` between the cells of seeds ``i`` and ``j`` the path length
+``d(s_i, u) + w_uv + d(v, s_j)``; ``U`` is the largest edge of Kruskal's
+tree over these, in exact arithmetic that of the closure's (Mehlhorn 1988).
+A limited row holds the full row's values within the limit, because the
+relaxation that sets ``dw[v]`` comes from a node with ``dw <= dw[v]`` and a
+rounded sum of nonnegative terms is no smaller than either.  So the finite
+closure entries sort first, and if Kruskal on them spans the seeds, its tree
+is the full closure's; if not (seeds apart, or ``U`` rounded low), the rows
+are computed again without a limit.  The walk of a tree edge ``(a, b)``
+starts at ``a`` and steps to ever nearer nodes of ``b``'s row, so a walk
+target ``b`` gets its tight-edge hop row (``_tight_hops``) only over the
+ball ``dw_b <= reach_b``, the largest ``dw_b[a]`` over its tree edges.
 That is exact: ``dw`` never decreases along a tight edge, so every tight
-path from ``b`` to a node in the ball stays in the ball, and a neighbour
-outside it has ``dw > dw[u]`` and is never tight.  The largest seed's row
-comes last, with a ``dijkstra`` ``limit`` (inclusive): the largest closure
-distance ``d(a -> b)`` among its tree edges, times ``1 +
-_orientation_margin(n)``.  A limited row holds the full row's values within
-the limit, because the relaxation that sets ``dw[v]`` comes from a node with
-``dw <= dw[v]`` and a rounded sum of nonnegative terms is no smaller than
-either.  The walk reads ``d(b -> a)``, the other orientation.  A float
-Dijkstra distance is at most the rounded running sum along any path, and a
-path of at most ``n - 1`` edges rounds at most ``n - 2`` times in either
-orientation, each time by a relative ``u = 2**-53`` at most; so ``d(b -> a)
-<= d(a -> b) (1 + 2(n - 2)u)`` to first order.  The margin ``2nu`` covers
-that and the rounding of the limit itself up to about ``2**26`` nodes.  If a
-walk source still reads ``inf``, the row is computed again without a limit,
-so a limited row never yields a false disconnected pair.
+path from ``b`` to a node in the ball stays in it, and a neighbour outside
+has ``dw > dw[u]`` and is never tight.  The largest seed's row comes last,
+limited by its largest tree edge ``d(a -> b)`` times the same margin.  A
+walk reads ``d(b -> a)``, the other orientation.  A float Dijkstra distance
+is at most the rounded running sum along any path, and a path of at most
+``n - 1`` edges rounds at most ``n - 2`` times in either orientation, each
+time by a relative ``u = 2**-53`` at most; so ``d(b -> a) <= d(a -> b) (1 +
+2(n - 2)u)`` to first order.  The margin ``2nu`` covers that and the
+rounding of the limit itself up to about ``2**26`` nodes.  A row in which a
+walk still reads ``inf`` is computed again without a limit, so a limited
+row never yields a false disconnected pair.
 """
 
 from __future__ import annotations
@@ -567,32 +573,54 @@ def _orientation_margin(n: int) -> float:
     return 2 * n * (np.finfo(np.float64).eps / 2)
 
 
+def _boundary_bottleneck(g: Graph, weights: EdgeWeights, s: np.ndarray) -> float:
+    """The bottleneck ``U`` of the Voronoi-boundary graph of the ascending
+    seeds ``s``, ``inf`` when it does not span (see the module design notes)."""
+    k = len(s)
+    d, _, near = csgraph.dijkstra(weights.weighted_csr(), indices=s, min_only=True,
+                                  return_predecessors=True)
+    cell = np.zeros(g.node_count, dtype=np.int64)
+    cell[s] = np.arange(k)
+    cell = cell.take(near, mode="clip")  # an unreachable node (-9999, at inf) joins cell 0
+    u, v = np.divmod(g._keys, g.node_count)
+    bound = np.full((k, k), np.inf)  # an edge within a cell lands on the diagonal
+    np.minimum.at(bound.ravel(), cell[u] * k + cell[v], d[u] + weights.values + d[v])
+    bound = np.minimum(bound, bound.T)
+    tree = _kruskal(bound)
+    return math.inf if tree is None else max(bound[i, j] for i, j in tree)
+
+
 def _seed_weight_closure(g: Graph, seeds: Sequence[int], weights: EdgeWeights):
     """Weighted closure of 2 or more ascending, distinct seeds, computing
     only what the closure and the walks read (see the module design notes).
-    Returns the ``(k, k)`` seed distances, the largest seed's row ``inf``
-    because the closure reads only the smaller seed's row, and
-    ``walks(tree)``: for each edge ``(i, j)`` of seed indices of a spanning
+    Returns the ``(k, k)`` seed distances, ``inf`` past the limit and in the
+    largest seed's row because the closure reads only the smaller seed's row,
+    and ``walks(tree)``: for each edge ``(i, j)`` of seed indices of Kruskal's
     tree of that closure, the ``(dw, dh)`` of seed ``j`` that the walk from
     seed ``i`` reads, its hops only within the ball its tree edges reach."""
     _check_weights(g, weights)
     W = weights.weighted_csr()
     s = np.array(seeds)  # checked ids, ascending
     k = len(s)
-    head = csgraph.dijkstra(W, indices=s[:-1])
+    margin = 1.0 + _orientation_margin(g.node_count)
+    limit = _boundary_bottleneck(g, weights, s) * margin
+    head = csgraph.dijkstra(W, indices=s[:-1], limit=limit)
+    dist = np.full((k, k), np.inf)
+    dist[:-1] = head[:, s]
+    if limit < math.inf and _kruskal(dist) is None:  # rounded below the bottleneck
+        head = csgraph.dijkstra(W, indices=s[:-1])
+        dist[:-1] = head[:, s]
     rows = [*head, None]  # the largest seed's row comes with the tree
-    dist = np.vstack([head[:, s], np.full(k, np.inf)])
 
     def walks(tree: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
         ends = [i for i, j in tree if j == k - 1]  # the largest seed is in every tree
-        limit = dist[ends, -1].max() * (1.0 + _orientation_margin(g.node_count))
-        rows[-1] = csgraph.dijkstra(W, indices=s[-1], limit=limit)
-        if np.isinf(rows[-1][s[ends]]).any():  # rounded past the margin
-            rows[-1] = csgraph.dijkstra(W, indices=s[-1])
-        reach: dict[int, float] = {}
-        for i, j in tree:
-            reach[j] = max(reach.get(j, 0.0), rows[j][s[i]])
-        hops = {j: _tight_hops(W, rows[j], s[j], r) for j, r in reach.items()}
+        rows[-1] = csgraph.dijkstra(W, indices=s[-1], limit=dist[ends, -1].max() * margin)
+        hops = {}
+        for j in dict.fromkeys(j for _, j in tree):
+            read = s[[i for i, b in tree if b == j]]
+            if np.isinf(rows[j][read]).any():  # rounded past the limit
+                rows[j] = csgraph.dijkstra(W, indices=s[j])
+            hops[j] = _tight_hops(W, rows[j], s[j], rows[j][read].max())
         return [(rows[j], hops[j]) for _, j in tree]
 
     return dist, walks

@@ -345,12 +345,15 @@ def _connector_case(rng, kind):
 
 def _spy_weighted_rows(monkeypatch):
     """Record the weighted connector's Dijkstra rows as ``(sources,
-    limit)`` and its tight-edge hop rows as ``(source, reach)``."""
+    limit)``, its nearest-seed pass as ``(sources, "nearest")`` and its
+    tight-edge hop rows as ``(source, reach)``."""
     rows, hops = [], []
 
-    def dijkstra(W, indices, limit=np.inf, real=graph.csgraph.dijkstra):
-        rows.append((np.ravel(indices).tolist(), limit))
-        return real(W, indices=indices, limit=limit)
+    def dijkstra(W, indices, limit=np.inf, min_only=False, return_predecessors=False,
+                 real=graph.csgraph.dijkstra):
+        rows.append((np.ravel(indices).tolist(), "nearest" if min_only else limit))
+        return real(W, indices=indices, limit=limit, min_only=min_only,
+                    return_predecessors=return_predecessors)
 
     def tight_hops(W, dw, src, reach=np.inf, real=graph._tight_hops):
         hops.append((src, reach))
@@ -404,10 +407,12 @@ class TestJointHopConnector:
         calls.clear()
         rows, hops = _spy_weighted_rows(monkeypatch)
         seed_connector(g, [0, 5, 10], EdgeWeights(g, np.ones(199)))
-        # weighted: Dijkstra rows for the closure, a limited row for the
-        # largest seed, hop rows for the walk targets within their reach
+        # weighted: the nearest-seed pass, whose boundary bottleneck (5)
+        # limits the closure rows, a limited row for the largest seed, hop
+        # rows for the walk targets within their reach
         assert calls == []
-        assert rows == [([0, 5], np.inf), ([10], 5 * (1 + graph._orientation_margin(200)))]
+        limit = 5 * (1 + graph._orientation_margin(200))
+        assert rows == [([0, 5, 10], "nearest"), ([0, 5], limit), ([10], limit)]
         assert hops == [(5, 5.0), (10, 5.0)]
 
     def test_search_stops_at_the_level_that_connects_the_seeds(self, monkeypatch):
@@ -434,10 +439,10 @@ _WEIGHT_KINDS = {
 
 
 class TestWeightedConnector:
-    """With weights, only the closure rows, the largest seed's row up to
-    its tree edges and the walk targets' hop rows within their reach are
-    computed; the answer, or the InfeasibleError, is the per-seed
-    connector's."""
+    """With weights, only the nearest-seed pass, the closure rows up to its
+    boundary bottleneck, the largest seed's row up to its tree edges and the
+    walk targets' hop rows within their reach are computed; the answer, or
+    the InfeasibleError, is the per-seed connector's."""
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
            st.sampled_from(sorted(_WEIGHT_KINDS)), st.integers(2, 70))
@@ -465,8 +470,9 @@ class TestWeightedConnector:
     def test_margin_covers_the_reverse_orientation(self, monkeypatch):
         rows, hops = _spy_weighted_rows(monkeypatch)
         got = seed_connector(self.G7, [0, 2, 4], self.W7)
+        # the boundary bottleneck is the closure's, d(2 -> 4), via the edge (3, 6)
         limit = 1.5999999999999999 * (1 + graph._orientation_margin(7))
-        assert rows == [([0, 2], np.inf), ([4], limit)]  # the largest seed's row once
+        assert rows == [([0, 2, 4], "nearest"), ([0, 2], limit), ([4], limit)]  # each row once
         assert hops == [(4, 1.6)]
         assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
 
@@ -474,8 +480,59 @@ class TestWeightedConnector:
         monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
         rows, _ = _spy_weighted_rows(monkeypatch)
         got = seed_connector(self.G7, [0, 2, 4], self.W7)
-        assert rows == [([0, 2], np.inf), ([4], 1.5999999999999999), ([4], np.inf)]
+        assert rows == [([0, 2, 4], "nearest"), ([0, 2], 1.5999999999999999),
+                        ([4], 1.5999999999999999), ([4], np.inf)]
         assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
+
+    def test_head_row_past_the_limit_is_recomputed(self, monkeypatch):
+        # G7 plus the pendant edge (0, 7): seeds 2 < 4 < 7 make 4's row a
+        # closure row, limited at the bottleneck d(2 -> 4), that the walk
+        # from 2 reads at d(4 -> 2) = 1.6
+        g = Graph(8, self.G7.edges() + [(0, 7)])
+        w = EdgeWeights(g, np.insert(self.W7.values, 1, 0.1))  # (0, 7) sorts second
+        monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
+        rows, hops = _spy_weighted_rows(monkeypatch)
+        got = seed_connector(g, [2, 4, 7], w)
+        assert rows == [([2, 4, 7], "nearest"), ([2, 4], 1.5999999999999999),
+                        ([7], 0.30000000000000004), ([4], np.inf)]
+        assert hops == [(7, 0.30000000000000004), (4, 1.6)]
+        assert got == reference_weighted_connector(g, [2, 4, 7], w)
+
+    def test_closure_short_of_the_bottleneck_is_recomputed(self, monkeypatch):
+        # the path 0 - 3 - 1 - 2: d(0 -> 2) = (0.4 + 0.8) + 0.1 rounds to
+        # 1.3000000000000003, the boundary sum 0.1 + 0.8 + 0.4 at (1, 3) to 1.3
+        g = Graph(4, [(0, 3), (1, 2), (1, 3)])
+        w = EdgeWeights(g, [0.4, 0.1, 0.8])
+        monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
+        rows, _ = _spy_weighted_rows(monkeypatch)
+        got = seed_connector(g, [0, 2], w)
+        assert rows == [([0, 2], "nearest"), ([0], 1.3), ([0], np.inf),
+                        ([2], 1.3000000000000003)]
+        assert got == reference_weighted_connector(g, [0, 2], w)
+
+    @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
+           st.sampled_from(sorted(_WEIGHT_KINDS)), st.integers(2, 70))
+    @settings(max_examples=200)
+    def test_boundary_bottleneck_bounds_the_closure_tree(self, seed, kind, weight_kind, k):
+        """Mehlhorn (1988): the boundary bottleneck ``U`` is the bottleneck
+        ``R`` of the closure's tree, exactly where sums are exact (integer
+        weights), and within the orientation margin otherwise."""
+        rng = np.random.default_rng(seed)
+        g, _ = _connector_case(rng, kind)
+        w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g.edge_count))
+        seeds = sorted(rng.choice(g.node_count, min(k, g.node_count), replace=False).tolist())
+        U = graph._boundary_bottleneck(g, w, np.array(seeds))
+        dist = np.array([path_distances(g, s, w)[0][seeds] for s in seeds])
+        tree = graph._kruskal(dist)
+        if tree is None:  # seeds in different components
+            assert U == np.inf
+            with pytest.raises(InfeasibleError, match="^seeds in different components$"):
+                seed_connector(g, seeds, w)
+            return
+        R = max(dist[i, j] for i, j in tree)
+        assert U * (1 + graph._orientation_margin(g.node_count)) >= R
+        if weight_kind == "ints":
+            assert U == R
 
 
 # -- top-down strategy -----------------------------------------------------------
