@@ -5,8 +5,10 @@ Two strategies over an attributed graph:
 * ``tree_community`` (bottom-up): connect the seeds by a minimum spanning
   tree of their metric closure — path lengths counted either in hops
   (``"hops"``) or in summed profile-difference weights (``"weights"``) — and
-  expand the tree edges back into their graph paths, computing only the
-  distances, out to a bound, that they read (see ``seed_connector``).
+  expand the tree edges back into their graph paths.  Each route returns
+  the tree with the distance row that each tree edge's walk reads, and
+  computes only those distances and the closure's, out to one bound (see
+  ``seed_connector``).
 * ``peel_community`` (top-down): start from the whole graph and repeatedly
   remove the highest-scoring node whose removal keeps the seeds connected,
   pruning nodes that become isolated along the way.  Scores are either
@@ -128,17 +130,17 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
     weights (ties: fewest hops, then lexicographically smallest sequence).
     Float path sums need not be symmetric, so the orientation is fixed: the
     closure of seeds ``a < b`` reads ``a``'s row, and the walk reads ``b``'s.
-    With weights, the closure computes only the rows it and the walks read,
-    each out to the bottleneck of the seeds' Voronoi-boundary graph (one
-    multi-source Dijkstra), the closure tree's longest edge up to rounding,
-    and again in full where that limit falls short.  In hop mode, 3 to 64
-    seeds share one bit-parallel search that stops at the first level where
-    Kruskal on the resolved pairs spans them; two seeds, more than 64, or
-    seeds that 64 levels leave unconnected take one :func:`path_distances`
-    row per seed.  Every route gives the per-seed route's answer (see the
-    ``graph`` design notes).  The tree is :func:`minimum_spanning_tree` of
-    the route's ``(k, k)`` closure, as seed index pairs.  Returns the union
-    of path nodes and of path edges.
+    With weights, one Dijkstra call computes every seed's row out to the
+    bottleneck of the seeds' Voronoi-boundary graph (one multi-source
+    Dijkstra), the closure tree's longest edge up to rounding, and again in
+    full where that limit falls short.  In hop mode, 3 or more seeds share
+    one bit-parallel search that stops at the first level where Kruskal on
+    the resolved pairs spans them; two seeds, or seeds that 64 levels leave
+    unconnected, take one :func:`path_distances` row per seed and
+    :func:`minimum_spanning_tree` of their ``(k, k)`` closure.  Every route
+    returns the tree, as seed index pairs, with the row each tree edge's
+    walk reads, and gives the per-seed route's answer (see the ``graph``
+    design notes).  Returns the union of path nodes and of path edges.
     """
     seeds = _check_ids(g, seeds)
     if len(seeds) == 1:
@@ -146,19 +148,16 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
     if weights is not None:
         joint = _seed_weight_closure(g, seeds, weights)
     else:
-        joint = _seed_hop_closure(g, seeds) if 3 <= len(seeds) <= 64 else None
+        joint = _seed_hop_closure(g, seeds) if len(seeds) >= 3 else None
     if joint is None:
         rows = [path_distances(g, s) for s in seeds]
-        dist = np.array([dw[seeds] for dw, _ in rows])
-
-        def walks(tree):
-            return [rows[j] for _, j in tree]
+        tree = minimum_spanning_tree(np.array([dw[seeds] for dw, _ in rows]))
+        rows = [rows[j] for _, j in tree]
     else:
-        dist, walks = joint
-    tree = minimum_spanning_tree(dist)
+        tree, rows = joint
     nodes: set[int] = set(seeds)
     edges: set[tuple[int, int]] = set()
-    for (i, j), (dw, dh) in zip(tree, walks(tree)):
+    for (i, j), (dw, dh) in zip(tree, rows):
         path = _reconstruct_path(g, seeds[i], seeds[j], dw, dh, weights)
         nodes.update(path)
         edges.update((min(e), max(e)) for e in zip(path, path[1:]))

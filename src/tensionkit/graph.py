@@ -56,25 +56,26 @@ pending pairs with ``_hop_rows`` per source, in matrices of at most
 ``PAIR_ELEMENTS`` entries (one row on larger graphs).  The 64 levels before
 cost at most 2E word operations per source, about one BFS each.
 The hop seed connector (``_seed_hop_closure``, behind ``seed_connector``)
-runs the same levels from 3 to 64 seeds, one bit each in a single word.  A
-seed pair resolves at the level where one seed's row gains the other's bit,
-and the search stops at the first level where Kruskal on the resolved pairs,
-unresolved pairs ``inf``, spans the seeds.  Its tree is the tree of the full
-closure: the resolved pairs sort first and already connect the seeds, and
-every unresolved pair is longer.  Each level's ``(front, words)`` is kept,
-and the walk of a tree edge ``(a, b)`` reads ``b``'s distances rebuilt from
-the levels below ``d(a, b)`` plus ``a`` itself, ``inf`` elsewhere, never
-past the stop level.  That is exact for the walk: from a node at distance
-``t`` it steps only to a neighbour at ``t - 1``, which the rebuilt row
-holds, and a neighbour shown ``inf`` lies at ``t`` or ``t + 1``.  A node
-gains bits at most once a level and once a seed, so the kept levels hold at
-most n * min(k, levels) entries for k seeds, never more than the k full
-``(dist_w, dist_h)`` rows of the per-seed route.  Two seeds take that route
-(the joint search lost to two BFS up to about n = 5 000), as do more than 64
-seeds and seeds that ``FINISH_DEPTH`` levels leave unconnected.  A node
-joins at most one frontier a seed, so the 64 levels before cost at most
-``PULL_FACTOR`` BFS a seed in word operations (3.4 ms against 178 ms for the
-seven rows on a 200 k-node path).
+runs the same levels from 3 or more seeds, seed ``j`` as bit ``j & 63`` of
+word ``j >> 6``.  A seed pair resolves at the level where one seed's row
+gains the other's bit, and the search stops at the first level where
+Kruskal on the resolved pairs, unresolved pairs ``inf``, spans the seeds.
+That tree is the tree of the full closure: the resolved pairs sort first
+and already connect the seeds, and every unresolved pair is longer.  Each
+level's ``(front, words)`` is kept, and the walk of a tree edge ``(a, b)``
+reads ``b``'s distances rebuilt from the levels below ``d(a, b)`` plus
+``a`` itself, ``inf`` elsewhere, never past the stop level.  That is exact
+for the walk: from a node at distance ``t`` it steps only to a neighbour at
+``t - 1``, which the rebuilt row holds, and a neighbour shown ``inf`` lies
+at ``t`` or ``t + 1``.  A node gains bits at most once a level and once a
+seed, so the kept levels hold at most n * min(k, levels) rows of ``words``
+for k seeds, never more than the n * k entries of the per-seed route's k
+full ``(dist_w, dist_h)`` rows.  Two seeds take that route (the joint
+search lost to two BFS up to about n = 5 000), as do seeds that
+``FINISH_DEPTH`` levels leave unconnected.  A node joins at most one
+frontier a seed, so the 64 levels before cost at most ``PULL_FACTOR`` BFS
+a seed in word operations (3.4 ms against 178 ms for the seven rows on a
+200 k-node path).
 Weights come from ``dijkstra``, then hops from a BFS over the *tight* edges
 ``u -> v`` with ``dist_w[u] + w_uv == dist_w[v]``.  The equality is exact:
 a float Dijkstra sets ``dist_w[v]`` to the smallest rounded sum ``dist_w[u]
@@ -86,10 +87,9 @@ one hop nearer the target over a tight edge, in hop and weighted mode alike.
 Zero weights are edges, kept as explicit CSR entries.
 
 The weighted seed connector (``_seed_weight_closure``) computes only the
-rows its closure and walks read.  The closure of seeds ``a < b`` reads
-``a``'s row at ``b``, so every seed but the largest gets one ``dijkstra``
-row and no hop row, with an inclusive ``limit``: the bottleneck ``U`` of the
-Voronoi-boundary graph times ``1 + _orientation_margin(n)``.  One
+rows its closure and walks read: one ``dijkstra`` call gives every seed's
+row, and no hop row, out to an inclusive ``limit``, the bottleneck ``U`` of
+the Voronoi-boundary graph times ``1 + _orientation_margin(n)``.  One
 multi-source ``dijkstra`` gives each node its nearest seed, and each edge
 ``(u, v)`` between the cells of seeds ``i`` and ``j`` the path length
 ``d(s_i, u) + w_uv + d(v, s_j)``; ``U`` is the largest edge of Kruskal's
@@ -98,23 +98,23 @@ A limited row holds the full row's values within the limit, because the
 relaxation that sets ``dw[v]`` comes from a node with ``dw <= dw[v]`` and a
 rounded sum of nonnegative terms is no smaller than either.  So the finite
 closure entries sort first, and if Kruskal on them spans the seeds, its tree
-is the full closure's; if not (seeds apart, or ``U`` rounded low), the rows
-are computed again without a limit.  The walk of a tree edge ``(a, b)``
-starts at ``a`` and steps to ever nearer nodes of ``b``'s row, so a walk
-target ``b`` gets its tight-edge hop row (``_tight_hops``) only over the
-ball ``dw_b <= reach_b``, the largest ``dw_b[a]`` over its tree edges.
-That is exact: ``dw`` never decreases along a tight edge, so every tight
-path from ``b`` to a node in the ball stays in it, and a neighbour outside
-has ``dw > dw[u]`` and is never tight.  The largest seed's row comes last,
-limited by its largest tree edge ``d(a -> b)`` times the same margin.  A
-walk reads ``d(b -> a)``, the other orientation.  A float Dijkstra distance
-is at most the rounded running sum along any path, and a path of at most
-``n - 1`` edges rounds at most ``n - 2`` times in either orientation, each
-time by a relative ``u = 2**-53`` at most; so ``d(b -> a) <= d(a -> b) (1 +
-2(n - 2)u)`` to first order.  The margin ``2nu`` covers that and the
-rounding of the limit itself up to about ``2**26`` nodes.  A row in which a
-walk still reads ``inf`` is computed again without a limit, so a limited
-row never yields a false disconnected pair.
+is the full closure's; if not (``U`` rounded low), the rows are computed
+again without a limit, unless the limit is already ``inf`` (seeds apart).
+The walk of a tree edge ``(a, b)`` starts at ``a`` and steps to ever nearer
+nodes of ``b``'s row, so a walk target ``b`` gets its tight-edge hop row
+(``_tight_hops``) only over the ball ``dw_b <= reach_b``, the largest
+``dw_b[a]`` over its tree edges.  That is exact: ``dw`` never decreases
+along a tight edge, so every tight path from ``b`` to a node in the ball
+stays in it, and a neighbour outside has ``dw > dw[u]`` and is never tight.
+The closure read ``d(a -> b)``, at most the bottleneck; the walk reads
+``d(b -> a)``, the other orientation.  A float Dijkstra distance is at most
+the rounded running sum along any path, and a path of at most ``n - 1``
+edges rounds at most ``n - 2`` times in either orientation, each time by a
+relative ``u = 2**-53`` at most; so ``d(b -> a) <= d(a -> b) (1 + 2(n -
+2)u)`` to first order.  The margin ``2nu`` covers that and the rounding of
+the limit itself up to about ``2**26`` nodes, so a walk rarely reads past
+the limit.  A row in which a walk still reads ``inf`` is computed again
+without a limit, so a limited row never yields a false disconnected pair.
 """
 
 from __future__ import annotations
@@ -451,50 +451,50 @@ def _bit_bfs(g: Graph, sources: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.
 
 
 def _seed_hop_closure(g: Graph, seeds: Sequence[int]):
-    """Hop closure of 2 to 64 ascending, distinct seeds from one search over
-    :func:`_bit_levels`, stopped at the first level where Kruskal on the
-    resolved pairs spans the seeds (see the design notes).  Returns the
-    ``(k, k)`` seed distances, ``inf`` for a pair unresolved at the stop, and
-    ``walks(tree)``: for each tree edge ``(i, j)`` of seed indices, the
-    distances of seed ``j`` that the walk from seed ``i`` reads, as one float
-    row that serves :func:`_reconstruct_path` for both weights and hops.
-    Returns None when ``FINISH_DEPTH`` levels leave the seeds unconnected."""
+    """Hop closure of 2 or more ascending, distinct seeds from one search
+    over :func:`_bit_levels`, stopped at the first level where Kruskal on
+    the resolved pairs spans the seeds (see the design notes).  Returns
+    Kruskal's tree, as seed index pairs ``(i, j)``, and for each tree edge
+    the distances of seed ``j`` that the walk from seed ``i`` reads, as one
+    float row that serves :func:`_reconstruct_path` for both weights and
+    hops.  Returns None when ``FINISH_DEPTH`` levels leave the seeds
+    unconnected."""
     s = np.array(seeds)  # checked ids, ascending
     k = len(s)
-    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    word = np.arange(k) >> 6  # seed j is bit j & 63 of word j >> 6, as in _bit_levels
+    bit = np.left_shift(np.uint64(1), (np.arange(k) & 63).astype(np.uint64))
     hops = np.full((k, k), np.inf)
     np.fill_diagonal(hops, 0.0)
-    fronts, words = [s], [bits]  # level 0: each seed holds its own bit
+    fronts, words = [s], [np.zeros((k, -(-k // 64)), dtype=np.uint64)]
+    words[0][np.arange(k), word] = bit  # level 0: each seed holds its own bit
     resolved = 0  # ordered pairs: each pair resolves at both of its seeds
     for level, (front, fw) in enumerate(_bit_levels(g, s), 1):
         fronts.append(front)
-        words.append(fw[:, 0])
+        words.append(fw)
         at = front.searchsorted(s)
         on = np.flatnonzero(front.take(at, mode="clip") == s)
         if len(on):  # seeds that gained other seeds' bits: pairs at this level
-            i, j = np.nonzero(fw[at[on]] & bits)
+            i, j = np.nonzero(fw[at[on]][:, word] & bit)
             hops[on[i], j] = level
             resolved += len(i)
-            if resolved >= 2 * (k - 1) and _kruskal(hops) is not None:  # enough for a tree
+            if resolved >= 2 * (k - 1) and (tree := _kruskal(hops)) is not None:
                 break
         if level == FINISH_DEPTH:
             return None
+    else:  # the levels ran out, so hops is the whole closure
+        tree = minimum_spanning_tree(hops)  # raises: the seeds are apart
     sizes = [len(f) for f in fronts]
     nodes, got = np.concatenate(fronts), np.concatenate(words)
     level_of, ends = np.repeat(np.arange(float(len(sizes))), sizes), np.cumsum(sizes)
-
-    def walks(tree: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for i, j in tree:
-            d = int(hops[i, j])
-            hit = np.flatnonzero(got[:ends[d - 1]] & bits[j])
-            dist = np.full(g.node_count, np.inf)
-            dist[nodes[hit]] = level_of[hit]
-            dist[s[i]] = d
-            out.append((dist, dist))
-        return out
-
-    return hops, walks
+    rows = []
+    for i, j in tree:
+        d = int(hops[i, j])
+        hit = np.flatnonzero(got[:ends[d - 1], word[j]] & bit[j])
+        dist = np.full(g.node_count, np.inf)
+        dist[nodes[hit]] = level_of[hit]
+        dist[s[i]] = d
+        rows.append((dist, dist))
+    return tree, rows
 
 
 def _push(indices, lo, hi, fw, seen):
@@ -593,37 +593,26 @@ def _boundary_bottleneck(g: Graph, weights: EdgeWeights, s: np.ndarray) -> float
 def _seed_weight_closure(g: Graph, seeds: Sequence[int], weights: EdgeWeights):
     """Weighted closure of 2 or more ascending, distinct seeds, computing
     only what the closure and the walks read (see the module design notes).
-    Returns the ``(k, k)`` seed distances, ``inf`` past the limit and in the
-    largest seed's row because the closure reads only the smaller seed's row,
-    and ``walks(tree)``: for each edge ``(i, j)`` of seed indices of Kruskal's
-    tree of that closure, the ``(dw, dh)`` of seed ``j`` that the walk from
+    Returns Kruskal's tree of the closure, as seed index pairs ``(i, j)``,
+    and for each tree edge the ``(dw, dh)`` of seed ``j`` that the walk from
     seed ``i`` reads, its hops only within the ball its tree edges reach."""
     _check_weights(g, weights)
     W = weights.weighted_csr()
     s = np.array(seeds)  # checked ids, ascending
-    k = len(s)
-    margin = 1.0 + _orientation_margin(g.node_count)
-    limit = _boundary_bottleneck(g, weights, s) * margin
-    head = csgraph.dijkstra(W, indices=s[:-1], limit=limit)
-    dist = np.full((k, k), np.inf)
-    dist[:-1] = head[:, s]
-    if limit < math.inf and _kruskal(dist) is None:  # rounded below the bottleneck
-        head = csgraph.dijkstra(W, indices=s[:-1])
-        dist[:-1] = head[:, s]
-    rows = [*head, None]  # the largest seed's row comes with the tree
-
-    def walks(tree: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-        ends = [i for i, j in tree if j == k - 1]  # the largest seed is in every tree
-        rows[-1] = csgraph.dijkstra(W, indices=s[-1], limit=dist[ends, -1].max() * margin)
-        hops = {}
-        for j in dict.fromkeys(j for _, j in tree):
-            read = s[[i for i, b in tree if b == j]]
-            if np.isinf(rows[j][read]).any():  # rounded past the limit
-                rows[j] = csgraph.dijkstra(W, indices=s[j])
-            hops[j] = _tight_hops(W, rows[j], s[j], rows[j][read].max())
-        return [(rows[j], hops[j]) for _, j in tree]
-
-    return dist, walks
+    limit = _boundary_bottleneck(g, weights, s) * (1.0 + _orientation_margin(g.node_count))
+    rows = csgraph.dijkstra(W, indices=s, limit=limit)
+    tree = _kruskal(rows[:, s])
+    if tree is None:  # seeds apart (limit inf), or U rounded below the bottleneck
+        if limit < math.inf:
+            rows = csgraph.dijkstra(W, indices=s)
+        tree = minimum_spanning_tree(rows[:, s])  # raises when the seeds are apart
+    hops = {}
+    for j in dict.fromkeys(j for _, j in tree):
+        read = s[[i for i, b in tree if b == j]]
+        if np.isinf(rows[j][read]).any():  # rounded past the limit
+            rows[j] = csgraph.dijkstra(W, indices=s[j])
+        hops[j] = _tight_hops(W, rows[j], s[j], rows[j][read].max())
+    return tree, [(rows[j], hops[j]) for _, j in tree]
 
 
 def _reconstruct_path(g: Graph, src: int, dst: int, dw: np.ndarray, dh: np.ndarray,

@@ -314,7 +314,9 @@ class TestSeedConnector:
 
 
 def _connector_case(rng, kind):
-    """A graph of one kind and sorted seeds on it: 2 seeds, 3 to 64, or 65."""
+    """A graph of one kind and sorted seeds on it: 2 seeds, 3 to 64, 65 or
+    130, at most one a node; 65 and 130 seeds take two and three words of
+    the joint hop search."""
     if kind == "gnm":  # often disconnected
         n = int(rng.integers(3, 121))
         edges = rng.integers(0, n, (int(rng.integers(n // 2, 3 * n)), 2))
@@ -335,7 +337,7 @@ def _connector_case(rng, kind):
         edges = [(v, v + 1) for v in range(n - 1)]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     g = Graph(n, edges[edges[:, 0] != edges[:, 1]])
-    k = min(n, int(rng.choice([2, rng.integers(3, 65), 65])))
+    k = min(n, int(rng.choice([2, rng.integers(3, 65), 65, 130])))
     if kind == "path" and rng.random() < 0.5:
         # the last seed lies more than 64 hops past the others: the fallback
         k = min(k, n // 3)
@@ -365,9 +367,9 @@ def _spy_weighted_rows(monkeypatch):
 
 
 class TestJointHopConnector:
-    """In hop mode, 3 to 64 seeds are connected by one bit-parallel search
-    that stops once its resolved pairs connect them; the answer, or the
-    InfeasibleError, is the per-seed connector's."""
+    """In hop mode, 3 or more seeds are connected by one bit-parallel search,
+    a word per 64 seeds, that stops once its resolved pairs connect them;
+    the answer, or the InfeasibleError, is the per-seed connector's."""
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
            st.sampled_from([0, 10**9, None]))
@@ -402,17 +404,19 @@ class TestJointHopConnector:
         assert calls == [0, 100, 199]  # 100 hops apart: per-seed after 64 levels
         calls.clear()
         seed_connector(g, [0, 5])
-        seed_connector(g, list(range(0, 195, 3)))  # 65 seeds
-        assert calls == [0, 5] + list(range(0, 195, 3))
+        assert calls == [0, 5]  # two seeds: per-seed
         calls.clear()
+        seeds = list(range(0, 195, 3))  # 65 seeds, two words: joint
+        assert seed_connector(g, seeds) == reference_hop_connector(g, seeds)
+        assert calls == []
         rows, hops = _spy_weighted_rows(monkeypatch)
         seed_connector(g, [0, 5, 10], EdgeWeights(g, np.ones(199)))
         # weighted: the nearest-seed pass, whose boundary bottleneck (5)
-        # limits the closure rows, a limited row for the largest seed, hop
-        # rows for the walk targets within their reach
+        # limits every seed's row in one call, hop rows for the walk targets
+        # within their reach
         assert calls == []
         limit = 5 * (1 + graph._orientation_margin(200))
-        assert rows == [([0, 5, 10], "nearest"), ([0, 5], limit), ([10], limit)]
+        assert rows == [([0, 5, 10], "nearest"), ([0, 5, 10], limit)]
         assert hops == [(5, 5.0), (10, 5.0)]
 
     def test_search_stops_at_the_level_that_connects_the_seeds(self, monkeypatch):
@@ -439,19 +443,18 @@ _WEIGHT_KINDS = {
 
 
 class TestWeightedConnector:
-    """With weights, only the nearest-seed pass, the closure rows up to its
-    boundary bottleneck, the largest seed's row up to its tree edges and the
-    walk targets' hop rows within their reach are computed; the answer, or
-    the InfeasibleError, is the per-seed connector's."""
+    """With weights, only the nearest-seed pass, every seed's row up to its
+    boundary bottleneck (in one call) and the walk targets' hop rows within
+    their reach are computed, a row again in full only where the limit falls
+    short; the answer, or the InfeasibleError, is the per-seed connector's."""
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
-           st.sampled_from(sorted(_WEIGHT_KINDS)), st.integers(2, 70))
+           st.sampled_from(sorted(_WEIGHT_KINDS)))
     @settings(max_examples=300)
-    def test_matches_the_per_seed_connector(self, seed, kind, weight_kind, k):
+    def test_matches_the_per_seed_connector(self, seed, kind, weight_kind):
         rng = np.random.default_rng(seed)
-        g, _ = _connector_case(rng, kind)
+        g, seeds = _connector_case(rng, kind)
         w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g.edge_count))
-        seeds = sorted(rng.choice(g.node_count, min(k, g.node_count), replace=False).tolist())
         try:
             want = reference_weighted_connector(g, seeds, w)
         except InfeasibleError as e:
@@ -472,29 +475,21 @@ class TestWeightedConnector:
         got = seed_connector(self.G7, [0, 2, 4], self.W7)
         # the boundary bottleneck is the closure's, d(2 -> 4), via the edge (3, 6)
         limit = 1.5999999999999999 * (1 + graph._orientation_margin(7))
-        assert rows == [([0, 2, 4], "nearest"), ([0, 2], limit), ([4], limit)]  # each row once
+        assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], limit)]  # each row once
         assert hops == [(4, 1.6)]
         assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
 
     def test_row_past_the_limit_is_recomputed(self, monkeypatch):
-        monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
-        rows, _ = _spy_weighted_rows(monkeypatch)
-        got = seed_connector(self.G7, [0, 2, 4], self.W7)
-        assert rows == [([0, 2, 4], "nearest"), ([0, 2], 1.5999999999999999),
-                        ([4], 1.5999999999999999), ([4], np.inf)]
-        assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
-
-    def test_head_row_past_the_limit_is_recomputed(self, monkeypatch):
-        # G7 plus the pendant edge (0, 7): seeds 2 < 4 < 7 make 4's row a
-        # closure row, limited at the bottleneck d(2 -> 4), that the walk
-        # from 2 reads at d(4 -> 2) = 1.6
+        # G7 plus the pendant edge (0, 7): with seeds 2 < 4 < 7, the walk
+        # from 2 reads 4's row at d(4 -> 2) = 1.6, past the bottleneck
+        # d(2 -> 4), and the walk from 4 reads 7's row within it
         g = Graph(8, self.G7.edges() + [(0, 7)])
         w = EdgeWeights(g, np.insert(self.W7.values, 1, 0.1))  # (0, 7) sorts second
         monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
         rows, hops = _spy_weighted_rows(monkeypatch)
         got = seed_connector(g, [2, 4, 7], w)
-        assert rows == [([2, 4, 7], "nearest"), ([2, 4], 1.5999999999999999),
-                        ([7], 0.30000000000000004), ([4], np.inf)]
+        assert rows == [([2, 4, 7], "nearest"), ([2, 4, 7], 1.5999999999999999),
+                        ([4], np.inf)]
         assert hops == [(7, 0.30000000000000004), (4, 1.6)]
         assert got == reference_weighted_connector(g, [2, 4, 7], w)
 
@@ -506,9 +501,17 @@ class TestWeightedConnector:
         monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
         rows, _ = _spy_weighted_rows(monkeypatch)
         got = seed_connector(g, [0, 2], w)
-        assert rows == [([0, 2], "nearest"), ([0], 1.3), ([0], np.inf),
-                        ([2], 1.3000000000000003)]
+        assert rows == [([0, 2], "nearest"), ([0, 2], 1.3), ([0, 2], np.inf)]
         assert got == reference_weighted_connector(g, [0, 2], w)
+
+    def test_seeds_apart_compute_the_rows_once(self, monkeypatch):
+        # no boundary edge joins the two components: the limit is inf
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        rows, hops = _spy_weighted_rows(monkeypatch)
+        with pytest.raises(InfeasibleError, match="^seeds in different components$"):
+            seed_connector(g, [0, 2, 4], EdgeWeights(g, np.ones(3)))
+        assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], np.inf)]
+        assert hops == []
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
            st.sampled_from(sorted(_WEIGHT_KINDS)), st.integers(2, 70))
