@@ -480,6 +480,17 @@ class TestWeightedConnector:
         assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
 
     def test_row_past_the_limit_is_recomputed(self, monkeypatch):
+        # without the margin, the walk from 2 reads 4's row at d(4 -> 2) =
+        # 1.6, past the bottleneck d(2 -> 4): that row is computed again
+        monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
+        rows, hops = _spy_weighted_rows(monkeypatch)
+        got = seed_connector(self.G7, [0, 2, 4], self.W7)
+        assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], 1.5999999999999999),
+                        ([4], np.inf)]
+        assert hops == [(4, 1.6)]
+        assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
+
+    def test_head_row_past_the_limit_is_recomputed(self, monkeypatch):
         # G7 plus the pendant edge (0, 7): with seeds 2 < 4 < 7, the walk
         # from 2 reads 4's row at d(4 -> 2) = 1.6, past the bottleneck
         # d(2 -> 4), and the walk from 4 reads 7's row within it
