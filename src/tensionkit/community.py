@@ -7,7 +7,8 @@ Two strategies over an attributed graph:
   (``"hops"``) or in summed profile-difference weights (``"weights"``) — and
   expand the tree edges back into their graph paths.  Each route returns
   the tree with the distance row that each tree edge's walk reads, and
-  computes only those distances and the closure's, out to one bound (see
+  computes only those distances and the closure's, out to one bound, with
+  weighted hop counts only between each walk's two seeds (see
   ``seed_connector``).
 * ``peel_community`` (top-down): start from the whole graph and repeatedly
   remove the highest-scoring node whose removal keeps the seeds connected,
@@ -133,11 +134,14 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
     With weights, one Dijkstra call computes every seed's row out to the
     bottleneck of the seeds' Voronoi-boundary graph (one multi-source
     Dijkstra), the closure tree's longest edge up to rounding, and again in
-    full where that limit falls short.  In hop mode, 3 or more seeds share
-    one bit-parallel search that stops at the first level where Kruskal on
-    the resolved pairs spans them; two seeds, or seeds that 64 levels leave
-    unconnected, take one :func:`path_distances` row per seed and
-    :func:`minimum_spanning_tree` of their ``(k, k)`` closure.  Every route
+    full where that limit falls short.  The walk on ``b``'s row counts tight
+    edges only over ``b``'s corridor, the nodes ``v`` with ``d(b, v) + d(a,
+    v)`` within a rounding slack of ``d(b, a)`` for the seeds ``a`` it is
+    walked from.  In hop mode, 3 or more seeds share one bit-parallel search
+    that stops at the first level where Kruskal on the resolved pairs spans
+    them; two seeds, or seeds that 64 levels leave unconnected, take one
+    :func:`path_distances` row per seed and :func:`minimum_spanning_tree` of
+    their ``(k, k)`` closure.  Every route
     returns the tree, as seed index pairs, with the row each tree edge's
     walk reads, and gives the per-seed route's answer (see the ``graph``
     design notes).  Returns the union of path nodes and of path edges.

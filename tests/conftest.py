@@ -12,9 +12,10 @@ off the CSR arrays (``adjacency_lists``).  The reference seed sampling reads
 its spreads off a sources x nodes hop distance matrix.  The reference
 connector computes a full distance row per seed, hops or weights, and
 connects the seeds by the Kruskal over a dict of seed pairs that the
-package replaced with one over the closure matrix.  The
-reference edge-list and profile readers are the per-line loops that ran
-before the numpy parse.
+package replaced with one over the closure matrix.  The reference
+tight-edge hop row is the ball rule the weighted connector used before its
+corridors.  The reference edge-list and profile readers are the per-line
+loops that ran before the numpy parse.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from hypothesis import HealthCheck, settings
 
 from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError, SeedGroup,
                         evaluate_solution, largest_component, proxy_weights)
-from tensionkit.graph import _reconstruct_path, hop_distance_matrix, path_distances
+from tensionkit.graph import (_as_hops, _hop_rows, _ranges, _reconstruct_path,
+                              hop_distance_matrix, path_distances)
 
 settings.register_profile(
     "default",
@@ -163,6 +165,21 @@ def reference_path_distances(n: int, edges, src: int, weights=None):
                 dh[v] = ch
                 heapq.heappush(heap, (cw, ch, v))
     return dw, dh
+
+
+def reference_tight_hops(W: sp.csr_matrix, dw: np.ndarray, src: int, reach: float) -> np.ndarray:
+    """Fewest tight edges from ``src`` to each node of the ball ``dw <=
+    reach``, -1 outside it: the weighted connector's hop row as it ran
+    before its corridors, exact on the whole ball because a tight path from
+    ``src`` never leaves it."""
+    ball = np.flatnonzero(dw <= reach)
+    lo, hi = W.indptr[ball], W.indptr[ball + 1]
+    at = _ranges(lo, hi)
+    end = dw[W.indices[at]]
+    tight = at[(dw[ball].repeat(hi - lo) + W.data[at] == end) & (end <= reach)]
+    T = sp.csr_matrix((np.ones(len(tight)), W.indices[tight], np.searchsorted(tight, W.indptr)),
+                      shape=W.shape)
+    return _as_hops(_hop_rows(T, src))
 
 
 def reference_graph(node_count: int, edges):

@@ -20,7 +20,7 @@ from tensionkit.graph import hop_distance_matrix, pair_hop_distances, path_dista
 from conftest import (adjacency_lists, edge_weights, oracle_is_connected,
                       oracle_min_tension, oracle_tension, random_graph_and_profiles,
                       reference_hop_connector, reference_peel_community,
-                      reference_weighted_connector)
+                      reference_tight_hops, reference_weighted_connector)
 
 
 def _solve(tag, g, X, seeds, seed=0):
@@ -348,7 +348,7 @@ def _connector_case(rng, kind):
 def _spy_weighted_rows(monkeypatch):
     """Record the weighted connector's Dijkstra rows as ``(sources,
     limit)``, its nearest-seed pass as ``(sources, "nearest")`` and its
-    tight-edge hop rows as ``(source, reach)``."""
+    tight-edge hop rows as ``(source, nodes of the mask)``."""
     rows, hops = [], []
 
     def dijkstra(W, indices, limit=np.inf, min_only=False, return_predecessors=False,
@@ -357,9 +357,9 @@ def _spy_weighted_rows(monkeypatch):
         return real(W, indices=indices, limit=limit, min_only=min_only,
                     return_predecessors=return_predecessors)
 
-    def tight_hops(W, dw, src, reach=np.inf, real=graph._tight_hops):
-        hops.append((src, reach))
-        return real(W, dw, src, reach)
+    def tight_hops(W, dw, src, mask, real=graph._tight_hops):
+        hops.append((src, np.flatnonzero(mask).tolist()))
+        return real(W, dw, src, mask)
 
     monkeypatch.setattr(graph.csgraph, "dijkstra", dijkstra)
     monkeypatch.setattr(graph, "_tight_hops", tight_hops)
@@ -413,11 +413,11 @@ class TestJointHopConnector:
         seed_connector(g, [0, 5, 10], EdgeWeights(g, np.ones(199)))
         # weighted: the nearest-seed pass, whose boundary bottleneck (5)
         # limits every seed's row in one call, hop rows for the walk targets
-        # within their reach
+        # over their corridors, the nodes between each target and its head
         assert calls == []
         limit = 5 * (1 + graph._orientation_margin(200))
         assert rows == [([0, 5, 10], "nearest"), ([0, 5, 10], limit)]
-        assert hops == [(5, 5.0), (10, 5.0)]
+        assert hops == [(5, [0, 1, 2, 3, 4, 5]), (10, [5, 6, 7, 8, 9, 10])]
 
     def test_search_stops_at_the_level_that_connects_the_seeds(self, monkeypatch):
         levels = []
@@ -435,18 +435,22 @@ class TestJointHopConnector:
         assert edges == {(v, v + 1) for v in range(7)}
 
 
-_WEIGHT_KINDS = {
-    "ints": lambda rng, m: rng.integers(0, 3, m).astype(float),  # ties, zero plateaus
-    "uniform": lambda rng, m: rng.random(m),
-    "tenths": lambda rng, m: np.round(rng.random(m), 1),  # orientation asymmetry
+_WEIGHT_KINDS = {  # edge weights of a graph
+    "ints": lambda rng, g: rng.integers(0, 3, g.edge_count).astype(float),  # ties, zero plateaus
+    "uniform": lambda rng, g: rng.random(g.edge_count),
+    "tenths": lambda rng, g: np.round(rng.random(g.edge_count), 1),  # orientation asymmetry
+    # |x_u - x_v| of one profile column, as comm-large weighs: every monotone
+    # path ties in exact arithmetic, so float rounding picks the tight paths
+    "gaps": lambda rng, g: np.abs(np.diff(rng.random(g.node_count)[g.edge_array()])).ravel(),
 }
 
 
 class TestWeightedConnector:
     """With weights, only the nearest-seed pass, every seed's row up to its
-    boundary bottleneck (in one call) and the walk targets' hop rows within
-    their reach are computed, a row again in full only where the limit falls
-    short; the answer, or the InfeasibleError, is the per-seed connector's."""
+    boundary bottleneck (in one call) and the walk targets' hop rows over
+    their corridors are computed, a row again in full only where the limit
+    falls short; the answer, or the InfeasibleError, is the per-seed
+    connector's."""
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
            st.sampled_from(sorted(_WEIGHT_KINDS)))
@@ -454,7 +458,7 @@ class TestWeightedConnector:
     def test_matches_the_per_seed_connector(self, seed, kind, weight_kind):
         rng = np.random.default_rng(seed)
         g, seeds = _connector_case(rng, kind)
-        w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g.edge_count))
+        w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g))
         try:
             want = reference_weighted_connector(g, seeds, w)
         except InfeasibleError as e:
@@ -464,6 +468,36 @@ class TestWeightedConnector:
         except InfeasibleError as e:
             got = str(e)
         assert got == want
+
+    @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
+           st.sampled_from(sorted(_WEIGHT_KINDS)))
+    @settings(max_examples=200)
+    def test_corridor_hops_match_the_ball_on_tight_paths(self, seed, kind, weight_kind):
+        """Each tree edge ``(a, b)``'s hop row, over ``b``'s corridor, equals
+        the ball rule's on every node of every tight ``b -> a`` path, the
+        nodes its walk can read."""
+        rng = np.random.default_rng(seed)
+        g, seeds = _connector_case(rng, kind)
+        w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g))
+        try:
+            tree, rows = graph._seed_weight_closure(g, seeds, w)
+        except InfeasibleError:
+            return
+        W = w.weighted_csr()
+        for (i, j), (dw, dh) in zip(tree, rows):
+            a, b = seeds[i], seeds[j]
+            on_paths, stack = {a}, [a]  # a and every node with a tight path on to a
+            while stack:
+                v = stack.pop()
+                for at in range(W.indptr[v], W.indptr[v + 1]):
+                    u = W.indices[at]
+                    if u not in on_paths and dw[u] + W.data[at] == dw[v]:
+                        on_paths.add(u)
+                        stack.append(u)
+            assert b in on_paths
+            on_paths = sorted(on_paths)
+            want = reference_tight_hops(W, dw, b, dw[a])
+            assert dh[on_paths].tolist() == want[on_paths].tolist()
 
     # the graph of test_closure_reads_the_smaller_seeds_row: the tree edge
     # (2, 4) reads d(2 -> 4) = 1.5999999999999999, its walk d(4 -> 2) = 1.6
@@ -476,7 +510,9 @@ class TestWeightedConnector:
         # the boundary bottleneck is the closure's, d(2 -> 4), via the edge (3, 6)
         limit = 1.5999999999999999 * (1 + graph._orientation_margin(7))
         assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], limit)]  # each row once
-        assert hops == [(4, 1.6)]
+        # 4's corridor joins its paths to 0 and to 2 (and 1, a near-tie on
+        # the way to 2), where its ball d(4 -> .) <= 1.6 also held 5
+        assert hops == [(4, [0, 1, 2, 3, 4, 6])]
         assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
 
     def test_row_past_the_limit_is_recomputed(self, monkeypatch):
@@ -487,7 +523,7 @@ class TestWeightedConnector:
         got = seed_connector(self.G7, [0, 2, 4], self.W7)
         assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], 1.5999999999999999),
                         ([4], np.inf)]
-        assert hops == [(4, 1.6)]
+        assert hops == [(4, [0, 1, 2, 3, 4, 6])]
         assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
 
     def test_head_row_past_the_limit_is_recomputed(self, monkeypatch):
@@ -501,7 +537,7 @@ class TestWeightedConnector:
         got = seed_connector(g, [2, 4, 7], w)
         assert rows == [([2, 4, 7], "nearest"), ([2, 4, 7], 1.5999999999999999),
                         ([4], np.inf)]
-        assert hops == [(7, 0.30000000000000004), (4, 1.6)]
+        assert hops == [(7, [0, 1, 4, 7]), (4, [1, 2, 3, 4, 6])]
         assert got == reference_weighted_connector(g, [2, 4, 7], w)
 
     def test_closure_short_of_the_bottleneck_is_recomputed(self, monkeypatch):
@@ -510,10 +546,32 @@ class TestWeightedConnector:
         g = Graph(4, [(0, 3), (1, 2), (1, 3)])
         w = EdgeWeights(g, [0.4, 0.1, 0.8])
         monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
-        rows, _ = _spy_weighted_rows(monkeypatch)
+        rows, hops = _spy_weighted_rows(monkeypatch)
         got = seed_connector(g, [0, 2], w)
         assert rows == [([0, 2], "nearest"), ([0, 2], 1.3), ([0, 2], np.inf)]
+        # 2 lies on its own path to 0 only by the slack: d(2 -> 2) + d(0 -> 2)
+        # is 1.3000000000000003, d(2 -> 0) is 1.3
+        assert hops == [(2, [0, 1, 2, 3])]
         assert got == reference_weighted_connector(g, [0, 2], w)
+
+    def test_corridor_reads_a_limited_head_row_as_the_limit(self, monkeypatch):
+        # a cycle of two paths from 0 to 1: 0 - 3 - 4 - 2 - 1 (weights 0.2,
+        # 0.4, 0.3, 1e-16) and 0 - 5 - ... - 9 - 1 (six edges, 0.9).  Without
+        # the margin the rows stop at the bottleneck d(0 -> 1) = 0.9, so 0's
+        # row holds 2, at d(0 -> 2) = 0.9000000000000001, as inf, and 1's
+        # row is computed again for the walk
+        g = Graph(10, [(0, 3), (0, 5), (1, 2), (1, 9), (2, 4),
+                       (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)])
+        w = EdgeWeights(g, [0.2, 0.2, 1e-16, 0.1, 0.3, 0.4, 0.1, 0.2, 0.1, 0.2])
+        monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
+        rows, hops = _spy_weighted_rows(monkeypatch)
+        got = seed_connector(g, [0, 1], w)
+        assert rows == [([0, 1], "nearest"), ([0, 1], 0.9), ([1], np.inf)]
+        # both paths are tight, d(1 -> 0) = 0.9000000000000001, and fill 1's
+        # corridor; read as inf, 0's row would leave 2 out of it
+        assert hops == [(1, list(range(10)))]
+        assert got == ({0, 1, 2, 3, 4}, {(0, 3), (3, 4), (2, 4), (1, 2)})
+        assert got == reference_weighted_connector(g, [0, 1], w)
 
     def test_seeds_apart_compute_the_rows_once(self, monkeypatch):
         # no boundary edge joins the two components: the limit is inf
@@ -533,7 +591,7 @@ class TestWeightedConnector:
         weights), and within the orientation margin otherwise."""
         rng = np.random.default_rng(seed)
         g, _ = _connector_case(rng, kind)
-        w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g.edge_count))
+        w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g))
         seeds = sorted(rng.choice(g.node_count, min(k, g.node_count), replace=False).tolist())
         U = graph._boundary_bottleneck(g, w, np.array(seeds))
         dist = np.array([path_distances(g, s, w)[0][seeds] for s in seeds])
