@@ -69,8 +69,10 @@ FLAGS = (
          "edge list file"),
     Flag("graph", "bench", "edge list file (repeatable)", action="append"),
     Flag("profiles", "conform comm team cardinality", "latent profile matrix file"),
-    Flag("scheme", _GENERATING, "generate profiles instead of reading them",
-         choices=PROFILE_SCHEMES),
+    Flag("scheme", "comm team cardinality gen-profiles",
+         "generate profiles instead of reading them", choices=PROFILE_SCHEMES),
+    Flag("scheme", "bench", "profile scheme to generate (bench takes no --incidence)",
+         choices=tuple(s for s in PROFILE_SCHEMES if s != "eigenvector")),
     Flag("attrs", _GENERATING, "attribute count for generated profiles", 1, int),
     Flag("lam", _GENERATING, "rate of the exponential scheme", 6.0, float),
     Flag("alpha", _GENERATING, "zeroed fraction of the thresholded scheme", 0.6, float),

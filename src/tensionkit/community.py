@@ -131,10 +131,10 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
     weights (ties: fewest hops, then lexicographically smallest sequence).
     Float path sums need not be symmetric, so the orientation is fixed: the
     closure of seeds ``a < b`` reads ``a``'s row, and the walk reads ``b``'s.
-    With weights, one Dijkstra call computes every seed's row out to the
+    With weights, one Dijkstra call computes every seed's row just past the
     bottleneck of the seeds' Voronoi-boundary graph (one multi-source
-    Dijkstra), the closure tree's longest edge up to rounding, and again in
-    full where that limit falls short.  The walk on ``b``'s row counts tight
+    Dijkstra), the closure tree's longest edge up to rounding, and all again
+    in full where that falls short.  The walk on ``b``'s row counts tight
     edges only over ``b``'s corridor, the nodes ``v`` with ``d(b, v) + d(a,
     v)`` within a rounding slack of ``d(b, a)`` for the seeds ``a`` it is
     walked from.  In hop mode, 3 or more seeds share one bit-parallel search

@@ -86,29 +86,29 @@ The path walk obeys the same rule: each step goes to the smallest neighbour
 one hop nearer the target over a tight edge, in hop and weighted mode alike.
 Zero weights are edges, kept as explicit CSR entries.
 
-The weighted seed connector (``_seed_weight_closure``) computes only the
-rows its closure and walks read: one ``dijkstra`` call gives every seed's
-row, and no hop row, out to an inclusive ``limit``, the bottleneck ``U`` of
-the Voronoi-boundary graph times ``1 + _orientation_margin(n)``.  One
-multi-source ``dijkstra`` gives each node its nearest seed, and each edge
-``(u, v)`` between the cells of seeds ``i`` and ``j`` the path length
-``d(s_i, u) + w_uv + d(v, s_j)``; ``U`` is the largest edge of Kruskal's
-tree over these, in exact arithmetic that of the closure's (Mehlhorn 1988).
-A limited row holds the full row's values within the limit, because the
-relaxation that sets ``dw[v]`` comes from a node with ``dw <= dw[v]`` and a
-rounded sum of nonnegative terms is no smaller than either.  So the finite
+The weighted seed connector (``_seed_weight_closure``) computes only the rows
+its closure and walks read.  One multi-source ``dijkstra`` gives each node its
+nearest seed, and each edge ``(u, v)`` between the cells of seeds ``i`` and
+``j`` the path length ``d(s_i, u) + w_uv + d(v, s_j)``; ``U`` is the largest
+edge of Kruskal's tree over these, in exact arithmetic that of the closure's
+(Mehlhorn 1988).  The boundary graph spans exactly when the seeds share a
+component, so seeds apart raise here.  Then one ``dijkstra`` call gives every
+seed's row, and no hop row, out to the inclusive limit ``reach * slack``: the
+*reach* is ``U (1 + _orientation_margin(n))``, the slack is the corridor's,
+below.  A limited row holds the full row's values within the limit, because
+the relaxation that sets ``dw[v]`` comes from a node with ``dw <= dw[v]`` and
+a rounded sum of nonnegative terms is no smaller than either.  So the finite
 closure entries sort first, and if Kruskal on them spans the seeds, its tree
-is the full closure's; if not (``U`` rounded low), the rows are computed
-again without a limit, unless the limit is already ``inf`` (seeds apart).
+is the full closure's.  One check follows: the tree spans, and the walk of
+each tree edge ``(a, b)`` starts within the reach, ``d(b -> a) <= reach``; if
+not (``U`` rounded low), all the rows are computed once more without a limit.
 The closure read ``d(a -> b)``, at most the bottleneck; the walk reads
 ``d(b -> a)``, the other orientation.  A float Dijkstra distance is at most
 the rounded running sum along any path, and a path of at most ``n - 1``
 edges rounds at most ``n - 2`` times in either orientation, each time by a
 relative ``u = 2**-53`` at most; so ``d(b -> a) <= d(a -> b) (1 + 2(n -
 2)u)`` to first order.  The margin ``2nu`` covers that and the rounding of
-the limit itself up to about ``2**26`` nodes, so a walk rarely reads past
-the limit.  A row in which a walk still reads ``inf`` is computed again
-without a limit, so a limited row never yields a false disconnected pair.
+the reach itself up to about ``2**26`` nodes, so the check rarely fails.
 The walk of a tree edge ``(a, b)`` starts at ``a`` and steps over tight
 edges of ``b``'s row to nodes one hop nearer ``b``, so it reads only nodes on
 tight ``b -> a`` paths.  A walk target ``b`` therefore gets its tight-edge
@@ -125,13 +125,12 @@ is at most the running sum of its rest from ``a``, each rounded at most ``n -
 2`` times, so the rounded left side exceeds ``dw_b[a]`` by a relative ``2(n -
 1)u`` at most, to first order.  ``slack = 1 + 4nu`` (``_corridor_slack``)
 covers that twice over; a larger slack only admits near-ties, which costs
-speed and never an answer.  The slack is not derived from the margin: a
-margin that falls short costs a recompute, a slack that falls short loses
-the trail.  A head row limited below ``dw_b[a] * slack`` shows ``inf`` for a
-node past the limit, whose distance is more than the limit, so the corridor
-reads it as the limit.  That is a lower bound, and rounding is monotone, so
-the corridor loses no node; it gains only nodes with ``dw_b[v] + limit <=
-dw_b[a] * slack``, close to ``b`` when the limit falls short by a rounding.
+speed and never an answer.
+Once the check holds, a corridor node ``v`` has ``dw_a[v] <= dw_b[v] +
+dw_a[v] <= dw_b[a] * slack <= reach * slack`` (rounding is monotone), so
+the limited corridor is the full rows' corridor, and a neighbour the walk
+reads past the limit is no tight step in either.  The bounds stay apart: a
+short margin costs a recompute, a short slack loses the trail.
 Balls ``dw_b <= max dw_b[a]`` are exact too, but on a 20 k-node, 100 k-edge
 random graph with one-column profile weights they held a median 3 937 nodes
 a walk target where the corridors held 11, as many as the tight paths (60
@@ -567,6 +566,7 @@ def path_distances(g: Graph, src: int,
     if weights is None:
         dw = _hop_rows(g.adjacency_csr(), src)
         return dw, _as_hops(dw)
+    _check_weights(g, weights)
     W = weights.weighted_csr()
     dw = csgraph.dijkstra(W, indices=src)
     return dw, _tight_hops(W, dw, src, dw < math.inf)
@@ -603,7 +603,7 @@ def _corridor_slack(n: int) -> float:
 
 def _boundary_bottleneck(g: Graph, weights: EdgeWeights, s: np.ndarray) -> float:
     """The bottleneck ``U`` of the Voronoi-boundary graph of the ascending
-    seeds ``s``, ``inf`` when it does not span (see the module design notes)."""
+    seeds ``s``; raises :class:`InfeasibleError` when the seeds are apart."""
     k = len(s)
     d, _, near = csgraph.dijkstra(weights.weighted_csr(), indices=s, min_only=True,
                                   return_predecessors=True)
@@ -614,34 +614,30 @@ def _boundary_bottleneck(g: Graph, weights: EdgeWeights, s: np.ndarray) -> float
     bound = np.full((k, k), np.inf)  # an edge within a cell lands on the diagonal
     np.minimum.at(bound.ravel(), cell[u] * k + cell[v], d[u] + weights.values + d[v])
     bound = np.minimum(bound, bound.T)
-    tree = _kruskal(bound)
-    return math.inf if tree is None else max(bound[i, j] for i, j in tree)
+    return max(bound[i, j] for i, j in minimum_spanning_tree(bound))
 
 
 def _seed_weight_closure(g: Graph, seeds: Sequence[int], weights: EdgeWeights):
     """Weighted closure of 2 or more ascending, distinct seeds, computing
-    only what the closure and the walks read (see the module design notes).
-    Returns Kruskal's tree of the closure, as seed index pairs ``(i, j)``,
-    and for each tree edge the ``(dw, dh)`` of seed ``j`` that the walk from
-    seed ``i`` reads, its hops only within the corridor of its tree edges."""
+    only what the closure and the walks read: every row out to the reach
+    times the slack, and again in full if the check fails (see the module
+    design notes).  Returns Kruskal's tree of the closure, as seed index
+    pairs ``(i, j)``, and for each tree edge the ``(dw, dh)`` of seed ``j``
+    that the walk from seed ``i`` reads, its hops only within the corridor."""
     _check_weights(g, weights)
     W = weights.weighted_csr()
     s = np.array(seeds)  # checked ids, ascending
-    limit = _boundary_bottleneck(g, weights, s) * (1.0 + _orientation_margin(g.node_count))
-    rows = csgraph.dijkstra(W, indices=s, limit=limit)
+    reach = _boundary_bottleneck(g, weights, s) * (1.0 + _orientation_margin(g.node_count))
+    slack = _corridor_slack(g.node_count)
+    rows = csgraph.dijkstra(W, indices=s, limit=reach * slack)
     tree = _kruskal(rows[:, s])
-    if tree is None:  # seeds apart (limit inf), or U rounded below the bottleneck
-        if limit < math.inf:
-            rows, limit = csgraph.dijkstra(W, indices=s), math.inf
-        tree = minimum_spanning_tree(rows[:, s])  # raises when the seeds are apart
-    hops, slack = {}, _corridor_slack(g.node_count)
+    if tree is None or any(rows[j, s[i]] > reach for i, j in tree):  # U rounded low
+        rows = csgraph.dijkstra(W, indices=s)
+        tree = minimum_spanning_tree(rows[:, s])
+    hops = {}
     for j in dict.fromkeys(j for _, j in tree):
-        heads = [i for i, b in tree if b == j]
-        dw = rows[j]
-        if np.isinf(dw[s[heads]]).any():  # rounded past the limit
-            dw = rows[j] = csgraph.dijkstra(W, indices=s[j])
-        split = dw + np.minimum(rows[heads], limit)  # a limited row's inf: past the limit
-        hops[j] = _tight_hops(W, dw, s[j], (split <= dw[s[heads], None] * slack).any(axis=0))
+        dw, heads = rows[j], [i for i, b in tree if b == j]
+        hops[j] = _tight_hops(W, dw, s[j], (dw + rows[heads] <= dw[s[heads], None] * slack).any(0))
     return tree, [(rows[j], hops[j]) for _, j in tree]
 
 

@@ -365,6 +365,11 @@ class TestBench:
             assert r[5] == "1"
             assert float(r[6]) >= 0.0
 
+    def test_eigenvector_scheme_is_a_usage_error(self, path5, caplog):
+        # bench takes no --incidence, which the eigenvector scheme needs
+        assert main(["bench", "--graph", path5, "--scheme", "eigenvector"]) == 1
+        assert "invalid choice: 'eigenvector'" in caplog.text
+
     def test_bench_needs_a_graph(self):
         assert main(["bench", "--scheme", "uniform"]) == 1
 

@@ -127,6 +127,7 @@ class TestWeightsOfAnotherGraph:
         "greedy_fixed_size": lambda g, X, w: greedy_fixed_size(g, X, 3, weights=w),
         "standardized_metrics": lambda g, X, w: standardized_metrics(
             g, w, evaluate_solution(g, X, [2, 3, 4]), [0, 1]),
+        "path_distances": lambda g, X, w: [row.tolist() for row in path_distances(g, 0, w)],
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -415,7 +416,7 @@ class TestJointHopConnector:
         # limits every seed's row in one call, hop rows for the walk targets
         # over their corridors, the nodes between each target and its head
         assert calls == []
-        limit = 5 * (1 + graph._orientation_margin(200))
+        limit = 5 * (1 + graph._orientation_margin(200)) * graph._corridor_slack(200)
         assert rows == [([0, 5, 10], "nearest"), ([0, 5, 10], limit)]
         assert hops == [(5, [0, 1, 2, 3, 4, 5]), (10, [5, 6, 7, 8, 9, 10])]
 
@@ -447,10 +448,10 @@ _WEIGHT_KINDS = {  # edge weights of a graph
 
 class TestWeightedConnector:
     """With weights, only the nearest-seed pass, every seed's row up to its
-    boundary bottleneck (in one call) and the walk targets' hop rows over
-    their corridors are computed, a row again in full only where the limit
-    falls short; the answer, or the InfeasibleError, is the per-seed
-    connector's."""
+    boundary bottleneck's reach times the corridor slack (in one call) and
+    the walk targets' hop rows over their corridors are computed, all rows
+    again in full only where the reach falls short; the answer, or the
+    InfeasibleError, is the per-seed connector's."""
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
            st.sampled_from(sorted(_WEIGHT_KINDS)))
@@ -467,6 +468,30 @@ class TestWeightedConnector:
             got = seed_connector(g, seeds, w)
         except InfeasibleError as e:
             got = str(e)
+        assert got == want
+
+    @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
+           st.sampled_from(sorted(_WEIGHT_KINDS)))
+    @settings(max_examples=200)
+    def test_recompute_matches_the_per_seed_connector(self, seed, kind, weight_kind):
+        """A margin of ``1 / slack - 1`` takes the row limit to about the
+        boundary bottleneck and the reach below it, so on most float closures
+        a walk starts past the reach, or the limited closure does not span,
+        and every row is computed again in full."""
+        rng = np.random.default_rng(seed)
+        g, seeds = _connector_case(rng, kind)
+        w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g))
+        try:
+            want = reference_weighted_connector(g, seeds, w)
+        except InfeasibleError as e:
+            want = str(e)
+        with pytest.MonkeyPatch.context() as mp:
+            slack = graph._corridor_slack
+            mp.setattr(graph, "_orientation_margin", lambda n: 1 / slack(n) - 1)
+            try:
+                got = seed_connector(g, seeds, w)
+            except InfeasibleError as e:
+                got = str(e)
         assert got == want
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
@@ -508,7 +533,7 @@ class TestWeightedConnector:
         rows, hops = _spy_weighted_rows(monkeypatch)
         got = seed_connector(self.G7, [0, 2, 4], self.W7)
         # the boundary bottleneck is the closure's, d(2 -> 4), via the edge (3, 6)
-        limit = 1.5999999999999999 * (1 + graph._orientation_margin(7))
+        limit = 1.5999999999999999 * (1 + graph._orientation_margin(7)) * graph._corridor_slack(7)
         assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], limit)]  # each row once
         # 4's corridor joins its paths to 0 and to 2 (and 1, a near-tie on
         # the way to 2), where its ball d(4 -> .) <= 1.6 also held 5
@@ -517,12 +542,12 @@ class TestWeightedConnector:
 
     def test_row_past_the_limit_is_recomputed(self, monkeypatch):
         # without the margin, the walk from 2 reads 4's row at d(4 -> 2) =
-        # 1.6, past the bottleneck d(2 -> 4): that row is computed again
+        # 1.6, past the bottleneck d(2 -> 4): every row is computed again
         monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
         rows, hops = _spy_weighted_rows(monkeypatch)
         got = seed_connector(self.G7, [0, 2, 4], self.W7)
-        assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], 1.5999999999999999),
-                        ([4], np.inf)]
+        limit = 1.5999999999999999 * graph._corridor_slack(7)
+        assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], limit), ([0, 2, 4], np.inf)]
         assert hops == [(4, [0, 1, 2, 3, 4, 6])]
         assert got == reference_weighted_connector(self.G7, [0, 2, 4], self.W7)
 
@@ -535,51 +560,82 @@ class TestWeightedConnector:
         monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
         rows, hops = _spy_weighted_rows(monkeypatch)
         got = seed_connector(g, [2, 4, 7], w)
-        assert rows == [([2, 4, 7], "nearest"), ([2, 4, 7], 1.5999999999999999),
-                        ([4], np.inf)]
+        limit = 1.5999999999999999 * graph._corridor_slack(8)
+        assert rows == [([2, 4, 7], "nearest"), ([2, 4, 7], limit), ([2, 4, 7], np.inf)]
         assert hops == [(7, [0, 1, 4, 7]), (4, [1, 2, 3, 4, 6])]
         assert got == reference_weighted_connector(g, [2, 4, 7], w)
 
     def test_closure_short_of_the_bottleneck_is_recomputed(self, monkeypatch):
         # the path 0 - 3 - 1 - 2: d(0 -> 2) = (0.4 + 0.8) + 0.1 rounds to
-        # 1.3000000000000003, the boundary sum 0.1 + 0.8 + 0.4 at (1, 3) to 1.3
+        # 1.3000000000000003, the boundary sum 0.1 + 0.8 + 0.4 at (1, 3) to
+        # 1.3; a negative margin takes the limit below both, so the limited
+        # closure does not span
         g = Graph(4, [(0, 3), (1, 2), (1, 3)])
         w = EdgeWeights(g, [0.4, 0.1, 0.8])
-        monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
+        monkeypatch.setattr(graph, "_orientation_margin", lambda n: -1e-14)
         rows, hops = _spy_weighted_rows(monkeypatch)
         got = seed_connector(g, [0, 2], w)
-        assert rows == [([0, 2], "nearest"), ([0, 2], 1.3), ([0, 2], np.inf)]
+        limit = 1.3 * (1 - 1e-14) * graph._corridor_slack(4)
+        assert limit < 1.3
+        assert rows == [([0, 2], "nearest"), ([0, 2], limit), ([0, 2], np.inf)]
         # 2 lies on its own path to 0 only by the slack: d(2 -> 2) + d(0 -> 2)
         # is 1.3000000000000003, d(2 -> 0) is 1.3
         assert hops == [(2, [0, 1, 2, 3])]
         assert got == reference_weighted_connector(g, [0, 2], w)
 
-    def test_corridor_reads_a_limited_head_row_as_the_limit(self, monkeypatch):
+    def test_corridor_reads_a_head_row_past_the_bottleneck(self, monkeypatch):
         # a cycle of two paths from 0 to 1: 0 - 3 - 4 - 2 - 1 (weights 0.2,
         # 0.4, 0.3, 1e-16) and 0 - 5 - ... - 9 - 1 (six edges, 0.9).  Without
-        # the margin the rows stop at the bottleneck d(0 -> 1) = 0.9, so 0's
-        # row holds 2, at d(0 -> 2) = 0.9000000000000001, as inf, and 1's
-        # row is computed again for the walk
+        # the margin the reach is the bottleneck d(0 -> 1) = 0.9, and the
+        # walk from 0 reads 1's row at d(1 -> 0) = 0.9000000000000001, past
+        # it, so every row is computed again
         g = Graph(10, [(0, 3), (0, 5), (1, 2), (1, 9), (2, 4),
                        (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)])
         w = EdgeWeights(g, [0.2, 0.2, 1e-16, 0.1, 0.3, 0.4, 0.1, 0.2, 0.1, 0.2])
         monkeypatch.setattr(graph, "_orientation_margin", lambda n: 0.0)
         rows, hops = _spy_weighted_rows(monkeypatch)
         got = seed_connector(g, [0, 1], w)
-        assert rows == [([0, 1], "nearest"), ([0, 1], 0.9), ([1], np.inf)]
+        limit = 0.9 * graph._corridor_slack(10)
+        assert rows == [([0, 1], "nearest"), ([0, 1], limit), ([0, 1], np.inf)]
         # both paths are tight, d(1 -> 0) = 0.9000000000000001, and fill 1's
-        # corridor; read as inf, 0's row would leave 2 out of it
+        # corridor, which reads 0's row at 2 past the bottleneck, d(0 -> 2) =
+        # 0.9000000000000001
         assert hops == [(1, list(range(10)))]
         assert got == ({0, 1, 2, 3, 4}, {(0, 3), (3, 4), (2, 4), (1, 2)})
         assert got == reference_weighted_connector(g, [0, 1], w)
 
-    def test_seeds_apart_compute_the_rows_once(self, monkeypatch):
-        # no boundary edge joins the two components: the limit is inf
+    # two tight paths from 1 to 0, d(1 -> 0) = 0.6: 1 - 2 - 3 - 4 - 0
+    # (weights 6e-17, 0.3, 0.2, 0.1), which the walk takes for its fewer
+    # hops, and 1 - 9 - ... - 5 - 0 (six edges of 0.1).  d(0 -> 1) and the
+    # boundary bottleneck are 0.6 too, but d(0 -> 2) = (0.1 + 0.2) + 0.3 is
+    # 0.6000000000000001: 2 lies in 1's corridor only by 0's row past them
+    G10 = Graph(10, [(0, 4), (0, 5), (1, 2), (1, 9), (2, 3),
+                     (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)])
+    W10 = EdgeWeights(G10, [0.1, 0.1, 6e-17, 0.1, 0.3, 0.2, 0.1, 0.1, 0.1, 0.1])
+
+    @pytest.mark.parametrize("recomputed", [False, True])
+    def test_corridor_reads_a_head_row_past_the_reach(self, monkeypatch, recomputed):
+        # without the margin, the rows reach past the bottleneck by the slack
+        # alone; with the limit at the bottleneck itself, the walk from 0
+        # starts past the reach and every row is computed again
+        slack = graph._corridor_slack
+        margin = (lambda n: 1 / slack(n) - 1) if recomputed else (lambda n: 0.0)
+        monkeypatch.setattr(graph, "_orientation_margin", margin)
+        rows, hops = _spy_weighted_rows(monkeypatch)
+        got = seed_connector(self.G10, [0, 1], self.W10)
+        assert got == ({0, 1, 2, 3, 4}, {(0, 4), (1, 2), (2, 3), (3, 4)})
+        limit = 0.6 * (1 + margin(10)) * slack(10)
+        assert rows == [([0, 1], "nearest"), ([0, 1], limit)] + [([0, 1], np.inf)] * recomputed
+        assert hops == [(1, list(range(10)))]
+        assert got == reference_weighted_connector(self.G10, [0, 1], self.W10)
+
+    def test_seeds_apart_compute_no_rows(self, monkeypatch):
+        # no boundary edge joins the two components: the nearest-seed pass raises
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
         rows, hops = _spy_weighted_rows(monkeypatch)
         with pytest.raises(InfeasibleError, match="^seeds in different components$"):
             seed_connector(g, [0, 2, 4], EdgeWeights(g, np.ones(3)))
-        assert rows == [([0, 2, 4], "nearest"), ([0, 2, 4], np.inf)]
+        assert rows == [([0, 2, 4], "nearest")]
         assert hops == []
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
@@ -593,14 +649,15 @@ class TestWeightedConnector:
         g, _ = _connector_case(rng, kind)
         w = EdgeWeights(g, _WEIGHT_KINDS[weight_kind](rng, g))
         seeds = sorted(rng.choice(g.node_count, min(k, g.node_count), replace=False).tolist())
-        U = graph._boundary_bottleneck(g, w, np.array(seeds))
         dist = np.array([path_distances(g, s, w)[0][seeds] for s in seeds])
         tree = graph._kruskal(dist)
         if tree is None:  # seeds in different components
-            assert U == np.inf
+            with pytest.raises(InfeasibleError, match="^seeds in different components$"):
+                graph._boundary_bottleneck(g, w, np.array(seeds))
             with pytest.raises(InfeasibleError, match="^seeds in different components$"):
                 seed_connector(g, seeds, w)
             return
+        U = graph._boundary_bottleneck(g, w, np.array(seeds))
         R = max(dist[i, j] for i, j in tree)
         assert U * (1 + graph._orientation_margin(g.node_count)) >= R
         if weight_kind == "ints":
