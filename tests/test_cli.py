@@ -156,6 +156,34 @@ class TestComm:
         groups = {line.split(",")[3] for line in lines[1:]}
         assert groups <= {"D1", "D2", "D3"} and len(lines) >= 4
 
+    def test_sampled_seeds_match_the_sample_seeds_files(self, tmp_path):
+        # a triangle on ids 0-2 beside a 14-node cycle with a chord on ids
+        # 3-16: the working graph renumbers, so its ids differ from the files'
+        edges = ["0 1", "1 2", "0 2", "3 10"] + [f"{3 + i} {3 + (i + 1) % 14}"
+                                                for i in range(14)]
+        g = write(tmp_path / "g.edges", "\n".join(edges) + "\n")
+        common = ["--graph", g, "--seed", "4", "--seed-size", "3",
+                  "--n-candidates", "60", "--per-group", "3"]
+        prefix = tmp_path / "q"
+        assert main(["sample-seeds", *common, "--out", str(prefix)]) == 0
+        own = tmp_path / "own.csv"
+        assert main(["comm", *common, "--scheme", "uniform", "--no-timing",
+                     "--out", str(own)]) == 0
+        by_group = {}
+        for r in read_rows(own)[1:]:
+            by_group.setdefault(r[3], []).append(r)
+        assert set(by_group) == {"D1", "D2", "D3"}
+        for label, rows in by_group.items():
+            out = tmp_path / f"{label}.csv"
+            assert main(["comm", *common, "--scheme", "uniform", "--no-timing",
+                         "--seeds", f"{prefix}.{label}", "--out", str(out)]) == 0
+            from_file = read_rows(out)[1:]
+            assert len(from_file) == len(rows)
+            for a, b in zip(rows, from_file):
+                assert a[0] == b[0].replace("file", label) and b[3] == "file"
+                if (a[1], a[2]) != ("peel", "random"):  # its stream is keyed on the run id
+                    assert a[1:3] + a[4:] == b[1:3] + b[4:]
+
     def test_non_convergence_fails_only_its_row(self, tmp_path, path5, monkeypatch):
         # every community containing node 0 (profile 0.0) fails to converge
         real_solver = community.equilibrium_tensions
