@@ -2,7 +2,8 @@
 
 Subcommands: ``conform``, ``comm``, ``team``, ``cardinality``, ``bench``,
 ``gen-profiles``, ``sample-seeds``.  Exit codes: 0 success, 1 input error
-(usage errors included), 2 infeasible request, 3 non-convergence.
+(usage errors and running out of memory included), 2 infeasible request,
+3 non-convergence.
 
 Every flag is declared once, in ``FLAGS``: its name, parsing, default and
 the subcommands that accept it.  ``--config FILE`` supplies flags as the
@@ -10,8 +11,8 @@ keys of a JSON object, and the same parser checks their values; explicit
 flags win over the file, which wins over the defaults.
 
 Disconnected input graphs are restricted to their largest component (with a
-logged warning) for every command except ``conform``, which is well-defined
-on disconnected graphs and must keep its row-per-node alignment.  All
+logged warning) for every command except ``conform`` and ``gen-profiles``,
+whose profile files keep one row per node of the input graph.  All
 randomness derives from the single ``--seed`` through named streams, and
 with ``--no-timing`` the CSV outputs are byte-identical across repeated
 runs of the same configuration.
@@ -35,7 +36,7 @@ from .conformation import conform, social_tension
 from .errors import ConvergenceError, InfeasibleError, InputError
 from .evaluation import (PROFILE_SCHEMES, generate_profiles,
                          sample_seed_groups, standardized_metrics)
-from .graph import Graph, induced_subgraph, largest_component
+from .graph import EdgeWeights, Graph, induced_subgraph, largest_component
 from .rng import derive_rng, derive_seed
 from .teams import SkillMap, form_team, greedy_fixed_size
 
@@ -146,29 +147,54 @@ def _scheme_profiles(args, node_count: int, olds: list[int]) -> np.ndarray:
                              lam=args.lam, alpha=args.alpha, incidence=incidence)
 
 
-def _load_working_profiles(args, g_full: Graph, olds: list[int]) -> np.ndarray:
-    """Profiles aligned with the working (possibly restricted) graph."""
+def _working_inputs(args) -> tuple[int, Graph, list[int], np.ndarray, EdgeWeights]:
+    """The input's node count, then the working (largest-component) graph,
+    the original id of each of its nodes, its profiles and proxy weights."""
+    g_full = _load_graph(args.graph)
+    g, olds = _restrict(g_full)
     if args.profiles is None:
-        return _scheme_profiles(args, g_full.node_count, olds)
-    if args.scheme is not None:
+        X = _scheme_profiles(args, g_full.node_count, olds)
+    elif args.scheme is not None:
         raise InputError("give either a profiles file or a generation scheme, not both")
-    return fileio.read_profiles(args.profiles, g_full.node_count)[olds]
-
-
-def _ok_cells(met, sol, t0: float, timing: bool) -> list[str]:
-    seconds = f"{time.perf_counter() - t0:.4f}" if timing else ""
-    return [_fmt(met.tau), _fmt(met.mpe), _fmt(met.mpc), _fmt(met.raw_tension),
-            str(len(sol.nodes)), str(sol.edges_induced), seconds, "ok"]
+    else:
+        X = fileio.read_profiles(args.profiles, g_full.node_count)[olds]
+    return g_full.node_count, g, olds, X, proxy_weights(g, X, args.weight_norm)
 
 
 # errors that fail one row of a batch and let the others run
 _ROW_ERRORS = (InfeasibleError, InputError, ConvergenceError)
 
 
-def _failed_cells(status: str | Exception) -> list[str]:
-    if isinstance(status, ConvergenceError):
-        status = f"non-convergence: {status}"
-    return [""] * 7 + [str(status)]
+def _variant_rows(args, columns: tuple[str, ...], runs, solve
+                  ) -> tuple[tuple[str, ...], list[list[str]]]:
+    """One row of ``columns`` per run and ``--variant``.
+
+    ``runs`` holds ``(run_id, group, item)`` triples, and ``solve(solver,
+    item)`` returns the solution, its metrics and the cells after ``status``.
+    A ``_ROW_ERRORS`` error fails only its row: empty cells, the error as
+    ``status``.
+    """
+    rows: list[list[str]] = []
+    for run_id, group, item in runs:
+        for tag in args.variant:
+            algorithm, variant = tag.split("-", 1)
+            row = [run_id, algorithm, variant, group]
+            t0 = time.perf_counter()
+            try:
+                solver = community_solver(
+                    algorithm, variant,
+                    rng_seed=derive_seed(args.seed, f"peel-random:{run_id}"))
+                sol, met, extra = solve(solver, item)
+            except _ROW_ERRORS as e:
+                status = f"non-convergence: {e}" if isinstance(e, ConvergenceError) else str(e)
+                row += [""] * 7 + [status]
+                rows.append(row + [""] * (len(columns) - len(row)))
+                continue
+            seconds = f"{time.perf_counter() - t0:.4f}" if args.timing else ""
+            rows.append(row + [_fmt(met.tau), _fmt(met.mpe), _fmt(met.mpc),
+                               _fmt(met.raw_tension), str(len(sol.nodes)),
+                               str(sol.edges_induced), seconds, "ok", *extra])
+    return columns, rows
 
 
 # -- subcommands: the CSV-writing ones return (columns, rows) -----------------
@@ -187,60 +213,37 @@ def cmd_conform(args) -> None:
 
 
 def run_comm(args) -> tuple[tuple[str, ...], list[list[str]]]:
-    g_full = _load_graph(args.graph)
-    g, olds = _restrict(g_full)
-    new_of = {old: new for new, old in enumerate(olds)}
-    X = _load_working_profiles(args, g_full, olds)
-    weights = proxy_weights(g, X, args.weight_norm)
-
+    node_count, g, olds, X, weights = _working_inputs(args)
     if args.seeds is not None:
-        raw_sets = fileio.read_seed_sets(args.seeds, g_full.node_count)
-        groups = [("file", raw_sets)]
+        # file sets name original ids; a set with one outside the working graph is None
+        new_of = {old: new for new, old in enumerate(olds)}
+        sets = [None if any(v not in new_of for v in s) else [new_of[v] for v in s]
+                for s in fileio.read_seed_sets(args.seeds, node_count)]
+        groups = [("file", sets)]
     else:
         sampled = sample_seed_groups(g, args.seed_size, args.n_candidates,
                                      args.per_group,
                                      rng_seed=derive_seed(args.seed, "seed-sampling"))
-        # sampled sets live in working-graph ids; report original ids upstream
-        groups = [(grp.label, [tuple(olds[v] for v in s) for s in grp.sets])
-                  for grp in sampled]
+        groups = [(grp.label, [list(s) for s in grp.sets]) for grp in sampled]
 
-    rows: list[list[str]] = []
-    for label, sets in groups:
-        for idx, seed_set in enumerate(sets):
-            run_id = f"{label}-{idx:03d}"
-            mapped = [new_of[v] for v in seed_set if v in new_of]
-            missing = len(mapped) != len(seed_set)
-            for tag in args.variant:
-                algorithm, variant = tag.split("-", 1)
-                base = [run_id, algorithm, variant, label]
-                if missing:
-                    rows.append(base + _failed_cells("disconnected seeds"))
-                    continue
-                t0 = time.perf_counter()
-                try:
-                    solver = community_solver(
-                        algorithm, variant,
-                        rng_seed=derive_seed(args.seed, f"peel-random:{run_id}"))
-                    sol = solver(g, X, mapped, weights)
-                    met = standardized_metrics(g, weights, sol, mapped)
-                except _ROW_ERRORS as e:
-                    rows.append(base + _failed_cells(e))
-                    continue
-                rows.append(base + _ok_cells(met, sol, t0, args.timing))
-    return METRIC_COLUMNS, rows
+    def solve(solver, seeds):
+        if seeds is None:
+            raise InfeasibleError("disconnected seeds")
+        sol = solver(g, X, seeds, weights)
+        return sol, standardized_metrics(g, weights, sol, seeds), []
+
+    runs = [(f"{label}-{idx:03d}", label, seeds)
+            for label, sets in groups for idx, seeds in enumerate(sets)]
+    return _variant_rows(args, METRIC_COLUMNS, runs, solve)
 
 
 def run_team(args) -> tuple[tuple[str, ...], list[list[str]]]:
     if args.n_projects < 0:
         raise InputError(f"--n-projects must be nonnegative, not {args.n_projects}")
-    g_full = _load_graph(args.graph)
-    g, olds = _restrict(g_full)
-    new_of = {old: new for new, old in enumerate(olds)}
-    X = _load_working_profiles(args, g_full, olds)
-    weights = proxy_weights(g, X, args.weight_norm)
-
+    _, g, olds, X, weights = _working_inputs(args)
     if args.skills is None:
         raise InputError("team mode needs a skills file (--skills)")
+    new_of = {old: new for new, old in enumerate(olds)}
     entries_full = fileio.read_skill_counts(args.skills)
     dropped = sum(1 for node, _, _ in entries_full if node not in new_of)
     if dropped:
@@ -262,36 +265,20 @@ def run_team(args) -> tuple[tuple[str, ...], list[list[str]]]:
             picks = rng.choice(len(available), size=size, replace=False)
             projects.append([available[i] for i in sorted(picks)])
 
-    rows: list[list[str]] = []
-    for p_idx, labels in enumerate(projects):
-        for tag in args.variant:
-            algorithm, variant = tag.split("-", 1)
-            run_id = f"P{p_idx:03d}"
-            base = [run_id, algorithm, variant, "team"]
-            t0 = time.perf_counter()
-            try:
-                solver = community_solver(
-                    algorithm, variant,
-                    rng_seed=derive_seed(args.seed, f"peel-random:{run_id}"))
-                team = form_team(g, X, skills, labels, solver,
-                                 weights=weights, weight_norm=args.weight_norm)
-                met = standardized_metrics(g, weights, team.solution,
-                                           sorted(team.step1_individuals))
-            except _ROW_ERRORS as e:
-                rows.append(base + _failed_cells(e) + [""])
-                continue
-            rows.append(base + _ok_cells(met, team.solution, t0, args.timing)
-                        + ["1" if team.step2_noop else "0"])
-    return TEAM_COLUMNS, rows
+    def solve(solver, labels):
+        team = form_team(g, X, skills, labels, solver,
+                         weights=weights, weight_norm=args.weight_norm)
+        met = standardized_metrics(g, weights, team.solution, sorted(team.step1_individuals))
+        return team.solution, met, ["1" if team.step2_noop else "0"]
+
+    runs = [(f"P{idx:03d}", "team", labels) for idx, labels in enumerate(projects)]
+    return _variant_rows(args, TEAM_COLUMNS, runs, solve)
 
 
 def run_cardinality(args) -> tuple[tuple[str, ...], list[list[str]]]:
     if args.k is None:
         raise InputError("cardinality mode needs a team size (--k)")
-    g_full = _load_graph(args.graph)
-    g, olds = _restrict(g_full)
-    X = _load_working_profiles(args, g_full, olds)
-    weights = proxy_weights(g, X, args.weight_norm)
+    _, g, _, X, weights = _working_inputs(args)
     t0 = time.perf_counter()
     sol = greedy_fixed_size(g, X, args.k, weights=weights,
                             rng_seed=derive_seed(args.seed, "cardinality-starts"))
@@ -472,6 +459,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as e:
         log.error("i/o error: %s", e)
+        return 1
+    except MemoryError as e:
+        log.error("out of memory: %s", e)
         return 1
 
 

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -681,6 +682,32 @@ def test_hostile_team_files(entries, project, blank_lines):
     assert all(len(r) == len(TEAM_COLUMNS) for r in rows)
     if rc == 0:
         assert rows[0] == list(TEAM_COLUMNS) and len(rows) == 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the address space size from /proc/self/statm")
+@pytest.mark.parametrize("argv, size", [
+    (["cardinality", "--k", "2", "--attrs", "1000000000"], "37.3 GiB"),  # profiles
+    (["comm", "--scheme", "uniform"], "14.9 GiB"),  # the CSR row pointers of id 2e9
+])
+def test_running_out_of_memory_exits_1(tmp_path, path5, argv, size):
+    graph = write(tmp_path / "far.edges", "0 2000000000\n") if argv[0] == "comm" else path5
+    # the child may grow 512 MB past its size after import, far below either request
+    script = textwrap.dedent("""
+        import os, resource, sys
+        from tensionkit.cli import main
+        size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        limit = size + (512 << 20)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        sys.exit(main(sys.argv[1:]))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--graph", graph],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert f"out of memory: Unable to allocate {size}" in proc.stderr
 
 
 def console_script_command(name):
