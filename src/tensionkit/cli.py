@@ -147,18 +147,20 @@ def _scheme_profiles(args, node_count: int, olds: list[int]) -> np.ndarray:
                              lam=args.lam, alpha=args.alpha, incidence=incidence)
 
 
-def _working_inputs(args) -> tuple[int, Graph, list[int], np.ndarray, EdgeWeights]:
-    """The input's node count, then the working (largest-component) graph,
-    the original id of each of its nodes, its profiles and proxy weights."""
+def _working_inputs(args) -> tuple[Graph, np.ndarray, np.ndarray, EdgeWeights]:
+    """The working (largest-component) graph, the working id of each input
+    node (-1 outside it), the working profiles and proxy weights."""
     g_full = _load_graph(args.graph)
     g, olds = _restrict(g_full)
+    new_id = np.full(g_full.node_count, -1, dtype=np.int64)
+    new_id[olds] = np.arange(len(olds))
     if args.profiles is None:
         X = _scheme_profiles(args, g_full.node_count, olds)
     elif args.scheme is not None:
         raise InputError("give either a profiles file or a generation scheme, not both")
     else:
         X = fileio.read_profiles(args.profiles, g_full.node_count)[olds]
-    return g_full.node_count, g, olds, X, proxy_weights(g, X, args.weight_norm)
+    return g, new_id, X, proxy_weights(g, X, args.weight_norm)
 
 
 # errors that fail one row of a batch and let the others run
@@ -213,13 +215,11 @@ def cmd_conform(args) -> None:
 
 
 def run_comm(args) -> tuple[tuple[str, ...], list[list[str]]]:
-    node_count, g, olds, X, weights = _working_inputs(args)
+    g, new_id, X, weights = _working_inputs(args)
     if args.seeds is not None:
-        # file sets name original ids; a set with one outside the working graph is None
-        new_of = {old: new for new, old in enumerate(olds)}
-        sets = [None if any(v not in new_of for v in s) else [new_of[v] for v in s]
-                for s in fileio.read_seed_sets(args.seeds, node_count)]
-        groups = [("file", sets)]
+        # file sets name input ids; a set with one outside the working graph is None
+        sets = [new_id[list(s)] for s in fileio.read_seed_sets(args.seeds, len(new_id))]
+        groups = [("file", [s.tolist() if s.min() >= 0 else None for s in sets])]
     else:
         sampled = sample_seed_groups(g, args.seed_size, args.n_candidates,
                                      args.per_group,
@@ -240,16 +240,17 @@ def run_comm(args) -> tuple[tuple[str, ...], list[list[str]]]:
 def run_team(args) -> tuple[tuple[str, ...], list[list[str]]]:
     if args.n_projects < 0:
         raise InputError(f"--n-projects must be nonnegative, not {args.n_projects}")
-    _, g, olds, X, weights = _working_inputs(args)
+    g, new_id, X, weights = _working_inputs(args)
     if args.skills is None:
         raise InputError("team mode needs a skills file (--skills)")
-    new_of = {old: new for new, old in enumerate(olds)}
-    entries_full = fileio.read_skill_counts(args.skills)
-    dropped = sum(1 for node, _, _ in entries_full if node not in new_of)
+    entries = fileio.read_skill_counts(args.skills, len(new_id))
+    nodes = new_id[[node for node, _, _ in entries]].tolist()
+    dropped = sum(v < 0 for v in nodes)
     if dropped:
         log.warning("%d skill entries reference nodes outside the working component", dropped)
-    entries = [(new_of[node], label, count) for node, label, count in entries_full
-               if node in new_of]
+    # a dropped entry keeps its label, held by no one: its skill is uncoverable
+    entries = [(v, label, count) if v >= 0 else (0, label, 0)
+               for v, (_, label, count) in zip(nodes, entries)]
     skills = SkillMap.from_counts(g.node_count, entries, threshold=args.skill_threshold)
 
     if args.project is not None:
@@ -278,7 +279,7 @@ def run_team(args) -> tuple[tuple[str, ...], list[list[str]]]:
 def run_cardinality(args) -> tuple[tuple[str, ...], list[list[str]]]:
     if args.k is None:
         raise InputError("cardinality mode needs a team size (--k)")
-    _, g, _, X, weights = _working_inputs(args)
+    g, _, X, weights = _working_inputs(args)
     t0 = time.perf_counter()
     sol = greedy_fixed_size(g, X, args.k, weights=weights,
                             rng_seed=derive_seed(args.seed, "cardinality-starts"))

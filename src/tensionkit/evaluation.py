@@ -125,22 +125,19 @@ def sample_seed_groups(g: Graph, set_size: int, n_candidates: int = 1000,
         raise InfeasibleError(
             f"seed set size {set_size} exceeds the largest component ({len(comp)} nodes)")
     rng = np.random.default_rng(rng_seed)
-    comp_arr = np.array(comp, dtype=np.int64)
-    candidates = [tuple(sorted(comp_arr[rng.choice(len(comp_arr), size=set_size,
-                                                   replace=False)].tolist()))
-                  for _ in range(n_candidates)]
-    cand = np.array(candidates, dtype=np.int64)
+    picks = np.array([rng.choice(len(comp), size=set_size, replace=False)
+                      for _ in range(n_candidates)])
+    cand = np.sort(np.array(comp, dtype=np.int64)[picks], axis=1)
     i, j = np.triu_indices(set_size, 1)
     spreads = np.zeros(n_candidates)
     if len(i):  # a singleton set spreads 0
         spreads = pair_hop_distances(g, cand[:, i], cand[:, j]).reshape(
             n_candidates, -1).max(axis=1)
     p10, p33, p66, p90 = np.percentile(spreads, [10, 33, 66, 90])
-    bounds = [("D1", p10, p33), ("D2", p33, p66), ("D3", p66, p90)]
     groups = []
-    for label, lo, hi in bounds:
-        picked = [cand for cand, s in zip(candidates, spreads) if lo <= s <= hi]
-        groups.append(SeedGroup(label, tuple(picked[:per_group])))
+    for label, lo, hi in [("D1", p10, p33), ("D2", p33, p66), ("D3", p66, p90)]:
+        rows = cand[(lo <= spreads) & (spreads <= hi)][:per_group]
+        groups.append(SeedGroup(label, tuple(map(tuple, rows.tolist()))))
     return tuple(groups)
 
 

@@ -181,8 +181,9 @@ def write_seed_sets(path, sets: Iterable[Sequence[int]]) -> None:
             fh.write(" ".join(str(v) for v in s) + "\n")
 
 
-def read_skill_counts(path) -> list[tuple[int, str, int]]:
-    """Read skill annotations: ``node_id skill_label count`` per line."""
+def read_skill_counts(path, node_count: int | None = None) -> list[tuple[int, str, int]]:
+    """Read skill annotations: ``node_id skill_label count`` per line, with
+    node ids below ``node_count`` when it is given."""
     entries: list[tuple[int, str, int]] = []
     for lineno, payload in _data_lines(path):
         parts = payload.split()
@@ -195,6 +196,8 @@ def read_skill_counts(path) -> list[tuple[int, str, int]]:
             raise InputError(f"{path}:{lineno}: node id and count must be integers") from None
         if node < 0 or count < 0:
             raise InputError(f"{path}:{lineno}: node id and count must be nonnegative")
+        if node_count is not None and node >= node_count:
+            raise InputError(f"{path}:{lineno}: node id {node} outside the graph's node range")
         entries.append((node, parts[1], count))
     if not entries:
         raise InputError(f"{path}: no skill entries found")
@@ -214,7 +217,6 @@ def read_incidence(path, node_count: int | None = None
     """Read a node-by-feature incidence: ``node_id feature_label [count]``
     per line (count defaults to 1).  Feature columns are ordered by label."""
     raw: list[tuple[int, str, float]] = []
-    max_id = -1
     labels: set[str] = set()
     for lineno, payload in _data_lines(path):
         parts = payload.split()
@@ -228,19 +230,18 @@ def read_incidence(path, node_count: int | None = None
             raise InputError(f"{path}:{lineno}: bad node id or count") from None
         if node < 0:
             raise InputError(f"{path}:{lineno}: node ids must be nonnegative")
+        if node_count is not None and node >= node_count:
+            raise InputError(f"{path}:{lineno}: node id {node} outside the graph's node range")
         if not np.isfinite(count):
             raise InputError(f"{path}:{lineno}: count {parts[2]} is not finite")
         raw.append((node, parts[1], count))
         labels.add(parts[1])
-        max_id = max(max_id, node)
     if not raw:
         raise InputError(f"{path}: no incidence entries found")
-    n = node_count if node_count is not None else max_id + 1
-    if max_id >= n:
-        raise InputError(f"{path}: node id {max_id} outside the graph's node range")
     ordered = sorted(labels)
     col_of = {lab: j for j, lab in enumerate(ordered)}
     rows = [r for r, _, _ in raw]
+    n = node_count if node_count is not None else max(rows) + 1
     cols = [col_of[lab] for _, lab, _ in raw]
     data = [c for _, _, c in raw]
     M = sp.csr_matrix((data, (rows, cols)), shape=(n, len(ordered)), dtype=np.float64)

@@ -269,6 +269,27 @@ class TestTeam:
         r = read_rows(out)[1]
         assert "unknown skill" in r[11] and r[4] == ""
 
+    @pytest.mark.parametrize("c_entry, dropped", [("6 c 4", 1), ("1 c 3", 0)])
+    def test_skill_held_only_outside_the_component_is_uncoverable(
+            self, tmp_path, caplog, c_entry, dropped):
+        # c held only by node 6, off the working cycle, reads as c held below
+        # --skill-threshold does: uncoverable, not unknown
+        g = write(tmp_path / "g.edges", "0 1\n1 2\n2 3\n3 0\n5 6\n")
+        skills = write(tmp_path / "s.skills", f"0 a 4\n2 b 4\n{c_entry}\n")
+        proj = write(tmp_path / "p.project", "a c\n")
+        out = tmp_path / "team.csv"
+        assert main(["team", "--graph", g, "--scheme", "uniform", "--skills", skills,
+                     "--project", proj, "--variant", "tree-hops", "--out", str(out)]) == 0
+        assert read_rows(out)[1][11] == "uncoverable skill: 'c'"
+        warning = "1 skill entries reference nodes outside the working component"
+        assert (warning in caplog.text) == bool(dropped)
+
+    def test_skill_node_beyond_the_input_graph_exits_1(self, tmp_path, caplog):
+        g = write(tmp_path / "cyc.edges", "0 1\n1 2\n2 3\n3 0\n")
+        skills = write(tmp_path / "s.skills", "999 c 4\n")
+        assert main(["team", "--graph", g, "--scheme", "uniform", "--skills", skills]) == 1
+        assert "s.skills:1: node id 999 outside the graph's node range" in caplog.text
+
     def test_single_holder_project_yields_singleton(self, tmp_path, path5):
         skills = write(tmp_path / "s.skills", "2 solo 9\n")
         proj = write(tmp_path / "p.project", "solo\n")

@@ -147,7 +147,7 @@ class TestSampleSeedGroups:
             assert len(gr.sets) == 5
             for s in gr.sets:
                 assert len(s) == 2 and list(s) == sorted(s)
-                assert all(0 <= v < 6 for v in s)
+                assert type(s) is tuple and all(type(v) is int and 0 <= v < 6 for v in s)
 
     def test_singleton_sets(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -352,6 +352,14 @@ class TestSkillsAndProject:
         with pytest.raises(InputError, match="nonnegative"):
             read_skill_counts(p)
 
+    def test_skill_node_outside_the_given_node_count(self, tmp_path):
+        p = tmp_path / "skills.txt"
+        p.write_text("0 db 5\n3 ml 4\n")
+        assert read_skill_counts(p, node_count=4) == [(0, "db", 5), (3, "ml", 4)]
+        with pytest.raises(InputError,
+                           match="skills.txt:2: node id 3 outside the graph's node range"):
+            read_skill_counts(p, node_count=3)
+
     def test_project_single_line(self, tmp_path):
         p = tmp_path / "proj.txt"
         p.write_text("# required\ndb ml stats\n")
@@ -376,8 +384,8 @@ class TestIncidence:
 
     def test_node_count_bound(self, tmp_path):
         p = tmp_path / "inc.txt"
-        p.write_text("5 f\n")
-        with pytest.raises(InputError, match="outside the graph's node range"):
+        p.write_text("0 f\n5 f\n")
+        with pytest.raises(InputError, match="inc.txt:2: node id 5 outside the graph's node range"):
             read_incidence(p, node_count=3)
 
     def test_explicit_node_count_pads_rows(self, tmp_path):
