@@ -137,14 +137,17 @@ def seed_connector(g: Graph, seeds, weights: EdgeWeights | None = None
     in full where that falls short.  The walk on ``b``'s row counts tight
     edges only over ``b``'s corridor, the nodes ``v`` with ``d(b, v) + d(a,
     v)`` within a rounding slack of ``d(b, a)`` for the seeds ``a`` it is
-    walked from.  In hop mode, 3 or more seeds share one bit-parallel search
-    that stops at the first level where Kruskal on the resolved pairs spans
-    them; two seeds, or seeds that 64 levels leave unconnected, take one
-    :func:`path_distances` row per seed and :func:`minimum_spanning_tree` of
-    their ``(k, k)`` closure.  Every route
-    returns the tree, as seed index pairs, with the row each tree edge's
-    walk reads, and gives the per-seed route's answer (see the ``graph``
-    design notes).  Returns the union of path nodes and of path edges.
+    walked from.  When that bottleneck is 0, the seeds share one zero-weight
+    plateau: the tree is the star from the first seed, over one row limited
+    at 0 and one hop search from all the other seeds.  In hop mode, 3 or
+    more seeds share one bit-parallel search that stops at the first level
+    where Kruskal on the resolved pairs spans them; two seeds, or seeds that
+    64 levels leave unconnected, take one :func:`path_distances` row per
+    seed and :func:`minimum_spanning_tree` of their ``(k, k)`` closure.
+    Every route returns the tree, as seed index pairs, with the row each
+    tree edge's walk reads, and gives the per-seed route's answer (see the
+    ``graph`` design notes).  Returns the union of path nodes and of path
+    edges.
     """
     seeds = _check_ids(g, seeds)
     if len(seeds) == 1:

@@ -92,13 +92,25 @@ nearest seed, and each edge ``(u, v)`` between the cells of seeds ``i`` and
 ``j`` the path length ``d(s_i, u) + w_uv + d(v, s_j)``; ``U`` is the largest
 edge of Kruskal's tree over these, in exact arithmetic that of the closure's
 (Mehlhorn 1988).  The boundary graph spans exactly when the seeds share a
-component, so seeds apart raise here.  Then one ``dijkstra`` call gives every
-seed's row, and no hop row, out to the inclusive limit ``reach * slack``: the
-*reach* is ``U (1 + _orientation_margin(n))``, the slack is the corridor's,
-below.  A limited row holds the full row's values within the limit, because
-the relaxation that sets ``dw[v]`` comes from a node with ``dw <= dw[v]`` and
-a rounded sum of nonnegative terms is no smaller than either.  So the finite
-closure entries sort first, and if Kruskal on them spans the seeds, its tree
+component, so seeds apart raise here.
+``U == 0`` puts every seed on one zero-weight plateau ``P``: a rounded sum
+of nonnegative terms is 0 only if every term is, so each boundary sum on the
+tree is 0 and joins its two seeds by zero edges.  Every row limited at
+``reach * slack = 0`` is then 0 on ``P`` and ``inf`` elsewhere, the same for
+every seed; Kruskal on the all-zero closure sorts by ``(0, i, j)`` and picks
+the star from seed 0; the check below cannot fail; and every corridor is
+``P``, whose tight edges are exactly its zero-weight ones.  So one row from
+seed 0 limited at 0, and one tight-edge hop search over it from all the walk
+targets, give the same tree and walks.  The skill nodes of team formation
+(``teams``) meet this case when their holders link them; seeds that no
+zero-weight paths join keep ``U > 0`` and the route below.
+Otherwise one ``dijkstra`` call gives every seed's row, and no hop row, out
+to the inclusive limit ``reach * slack``: the *reach* is ``U (1 +
+_orientation_margin(n))``, the slack is the corridor's, below.  A limited
+row holds the full row's values within the limit, because the relaxation
+that sets ``dw[v]`` comes from a node with ``dw <= dw[v]`` and a rounded
+sum of nonnegative terms is no smaller than either.  So the finite closure
+entries sort first, and if Kruskal on them spans the seeds, its tree
 is the full closure's.  One check follows: the tree spans, and the walk of
 each tree edge ``(a, b)`` starts within the reach, ``d(b -> a) <= reach``; if
 not (``U`` rounded low), all the rows are computed once more without a limit.
@@ -572,12 +584,14 @@ def path_distances(g: Graph, src: int,
     return dw, _tight_hops(W, dw, src, dw < math.inf)
 
 
-def _tight_hops(W: sp.csr_matrix, dw: np.ndarray, src: int, mask: np.ndarray) -> np.ndarray:
+def _tight_hops(W: sp.csr_matrix, dw: np.ndarray, src: int | np.ndarray,
+                mask: np.ndarray) -> np.ndarray:
     """Fewest tight edges from ``src`` to each node of ``mask`` over tight
-    paths within it, given ``src``'s weighted row ``dw``; -1 outside the mask
-    and where unreachable.  Only the mask's CSR rows are read.  The count is
-    exact on every node whose tight paths from ``src`` all lie in the mask
-    (see the module design notes)."""
+    paths within it, given the weighted row ``dw``; -1 outside the mask and
+    where unreachable.  ``src`` is one source, or several that share ``dw``
+    (a row per source, as :func:`_hop_rows`).  Only the mask's CSR rows are
+    read.  The count is exact on every node whose tight paths from its
+    source all lie in the mask (see the module design notes)."""
     inside = np.flatnonzero(mask)
     lo, hi = W.indptr[inside], W.indptr[inside + 1]
     at = _ranges(lo, hi)
@@ -621,13 +635,21 @@ def _seed_weight_closure(g: Graph, seeds: Sequence[int], weights: EdgeWeights):
     """Weighted closure of 2 or more ascending, distinct seeds, computing
     only what the closure and the walks read: every row out to the reach
     times the slack, and again in full if the check fails (see the module
-    design notes).  Returns Kruskal's tree of the closure, as seed index
-    pairs ``(i, j)``, and for each tree edge the ``(dw, dh)`` of seed ``j``
-    that the walk from seed ``i`` reads, its hops only within the corridor."""
+    design notes).  Seeds on one zero-weight plateau (a boundary bottleneck
+    of 0) take the star from seed 0 instead, over one row limited at 0 and
+    one hop search from all the walk targets.  Returns Kruskal's tree of the
+    closure, as seed index pairs ``(i, j)``, and for each tree edge the
+    ``(dw, dh)`` of seed ``j`` that the walk from seed ``i`` reads, its hops
+    only within the corridor."""
     _check_weights(g, weights)
     W = weights.weighted_csr()
     s = np.array(seeds)  # checked ids, ascending
-    reach = _boundary_bottleneck(g, weights, s) * (1.0 + _orientation_margin(g.node_count))
+    bottleneck = _boundary_bottleneck(g, weights, s)
+    if bottleneck == 0:  # one zero-weight plateau holds every seed: the star from seed 0
+        dw = csgraph.dijkstra(W, indices=s[0], limit=0.0)
+        hops = _tight_hops(W, dw, s[1:], dw == 0)
+        return [(0, j) for j in range(1, len(s))], [(dw, h) for h in hops]
+    reach = bottleneck * (1.0 + _orientation_margin(g.node_count))
     slack = _corridor_slack(g.node_count)
     rows = csgraph.dijkstra(W, indices=s, limit=reach * slack)
     tree = _kruskal(rows[:, s])

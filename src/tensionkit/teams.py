@@ -6,7 +6,10 @@ holder of that skill, carrying the holders' mean latent profile, with the
 new edges weight-zeroed in the proxy overlay) and the community solver is
 run with the project's skill nodes as seeds; then the skill nodes are
 stripped and the solver is re-run on the original graph with the surviving
-individuals as seeds, which yields the final team.
+individuals as seeds, which yields the final team.  Step 1's skill nodes
+lie on one zero-weight plateau whenever the project's skills are linked,
+directly or through other skills, by shared holders, and the weighted
+closure then takes its star route (see the ``graph`` design notes).
 
 ``greedy_fixed_size`` grows connected sets of an exact target size from
 many starts, steering by proxy-weight increments and scoring the finished
@@ -119,7 +122,7 @@ def skill_extended_graph(g: Graph, skills: SkillMap, latent
     X = profile_matrix(g, latent)
     n = g.node_count
     ids = {label: n + k for k, label in enumerate(skills.labels)}
-    holders = [np.array(sorted(h), dtype=np.int64) for h in skills.holders]
+    holders = [np.sort(np.fromiter(h, np.int64, len(h))) for h in skills.holders]
     skill_edges = np.column_stack([
         np.concatenate([np.empty(0, np.int64), *holders]),
         np.repeat(np.arange(n, n + len(holders)), [len(h) for h in holders])])

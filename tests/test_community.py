@@ -349,7 +349,8 @@ def _connector_case(rng, kind):
 def _spy_weighted_rows(monkeypatch):
     """Record the weighted connector's Dijkstra rows as ``(sources,
     limit)``, its nearest-seed pass as ``(sources, "nearest")`` and its
-    tight-edge hop rows as ``(source, nodes of the mask)``."""
+    tight-edge hop rows as ``(source, nodes of the mask)``, a list of
+    sources where one call serves several."""
     rows, hops = [], []
 
     def dijkstra(W, indices, limit=np.inf, min_only=False, return_predecessors=False,
@@ -359,7 +360,7 @@ def _spy_weighted_rows(monkeypatch):
                     return_predecessors=return_predecessors)
 
     def tight_hops(W, dw, src, mask, real=graph._tight_hops):
-        hops.append((src, np.flatnonzero(mask).tolist()))
+        hops.append((np.asarray(src).tolist(), np.flatnonzero(mask).tolist()))
         return real(W, dw, src, mask)
 
     monkeypatch.setattr(graph.csgraph, "dijkstra", dijkstra)
@@ -443,6 +444,8 @@ _WEIGHT_KINDS = {  # edge weights of a graph
     # |x_u - x_v| of one profile column, as comm-large weighs: every monotone
     # path ties in exact arithmetic, so float rounding picks the tight paths
     "gaps": lambda rng, g: np.abs(np.diff(rng.random(g.node_count)[g.edge_array()])).ravel(),
+    # one zero-weight plateau per component: the closure's star route
+    "zeros": lambda rng, g: np.zeros(g.edge_count),
 }
 
 
@@ -450,8 +453,10 @@ class TestWeightedConnector:
     """With weights, only the nearest-seed pass, every seed's row up to its
     boundary bottleneck's reach times the corridor slack (in one call) and
     the walk targets' hop rows over their corridors are computed, all rows
-    again in full only where the reach falls short; the answer, or the
-    InfeasibleError, is the per-seed connector's."""
+    again in full only where the reach falls short.  Seeds on one
+    zero-weight plateau take one row limited at 0 and one hop search from
+    every walk target instead.  The answer, or the InfeasibleError, is the
+    per-seed connector's."""
 
     @given(st.integers(0, 100_000), st.sampled_from(["gnm", "tree", "grid", "star", "path"]),
            st.sampled_from(sorted(_WEIGHT_KINDS)))
@@ -628,6 +633,23 @@ class TestWeightedConnector:
         assert rows == [([0, 1], "nearest"), ([0, 1], limit)] + [([0, 1], np.inf)] * recomputed
         assert hops == [(1, list(range(10)))]
         assert got == reference_weighted_connector(self.G10, [0, 1], self.W10)
+
+    def test_zero_plateau_takes_one_row_and_one_hop_search(self, monkeypatch):
+        # the path 0 - 1 - ... - 7 plus the chord (1, 5): the edges from 1 to
+        # 6 weigh 0, so seeds 1, 3 and 5 share the plateau {1, ..., 6} and
+        # the boundary bottleneck is 0.  One row from seed 1, limited at 0,
+        # holds the plateau, and one hop search over its zero edges serves
+        # both walk targets; the chord (0.5) is no tight edge
+        g = Graph(8, [(v, v + 1) for v in range(7)] + [(1, 5)])
+        w = edge_weights(g, {(0, 1): 1.0, (1, 5): 0.5, (6, 7): 1.0,
+                             **{(v, v + 1): 0.0 for v in range(1, 6)}})
+        rows, hops = _spy_weighted_rows(monkeypatch)
+        got = seed_connector(g, [1, 3, 5], w)
+        assert rows == [([1, 3, 5], "nearest"), ([1], 0.0)]
+        assert hops == [([3, 5], [1, 2, 3, 4, 5, 6])]
+        assert graph._seed_weight_closure(g, [1, 3, 5], w)[0] == [(0, 1), (0, 2)]
+        assert got == ({1, 2, 3, 4, 5}, {(1, 2), (2, 3), (3, 4), (4, 5)})
+        assert got == reference_weighted_connector(g, [1, 3, 5], w)
 
     def test_seeds_apart_compute_no_rows(self, monkeypatch):
         # no boundary edge joins the two components: the nearest-seed pass raises

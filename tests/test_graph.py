@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError, graph,
                         induced_subgraph, largest_component, seed_connector)
@@ -285,6 +286,19 @@ class TestShortestPaths:
         path, length = _walk(g, 0, 2, weights=w)
         assert path == [0, 2]
         assert length == pytest.approx(0.2, abs=1e-12)
+
+    def test_dijkstra_limit_is_inclusive(self):
+        # the weighted closure's rows end at a limit, its zero-plateau row at
+        # 0: a node at exactly the limit must stay finite, or a walk that
+        # reads it loses its trail
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        W = EdgeWeights(g, [0.0, 0.1, 0.2]).weighted_csr()
+        full = csgraph.dijkstra(W, indices=0)
+        assert full.tolist() == [0.0, 0.0, 0.1, 0.30000000000000004]
+        for limit, finite in [(0.0, 2), (0.1, 3), (0.3, 3), (full[3], 4)]:
+            for indices in (0, [0]):
+                got = np.ravel(csgraph.dijkstra(W, indices=indices, limit=limit))
+                assert got.tolist() == full[:finite].tolist() + [np.inf] * (4 - finite)
 
     def test_unreachable_pair(self):
         g = Graph(4, [(0, 1), (2, 3)])

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from tensionkit import (Graph, InfeasibleError, InputError, SkillMap,
                         community_solver, conformation, evaluate_solution,
-                        form_team, greedy_fixed_size, largest_component,
+                        form_team, graph, greedy_fixed_size, largest_component,
                         proxy_weights, teams)
 from tensionkit.community import PEEL_VARIANTS, TREE_VARIANTS
 from tensionkit.teams import skill_extended_graph
 
 from conftest import (edge_weights, oracle_is_connected, oracle_tension,
-                      random_graph_and_profiles, reference_greedy_sets)
+                      random_graph_and_profiles, reference_greedy_sets,
+                      reference_hop_connector, reference_weighted_connector)
 
 ALL_SOLVERS = [("tree", v) for v in TREE_VARIANTS] + [("peel", v) for v in PEEL_VARIANTS]
 
@@ -208,6 +209,50 @@ class TestFormTeam:
             assert w2 is weights
         else:
             assert w2.values.tobytes() == proxy_weights(g, X, norm).values.tobytes()
+
+    @given(st.integers(0, 100_000), st.sampled_from(TREE_VARIANTS), st.booleans())
+    @settings(max_examples=60)
+    def test_tree_variants_match_a_two_step_reference(self, seed, variant, linked):
+        """Both steps on the reference connector: step 1 over the extension
+        with its skill edges zeroed, step 2 over the base graph.  Linked
+        skills each share a holder with the next, so the project's skill
+        nodes lie on one zero-weight plateau and the weighted closure of step
+        1 takes its star route; otherwise the skills' holders are disjoint."""
+        rng = np.random.default_rng(seed)
+        g, X = random_graph_and_profiles(rng, 4, 18)
+        n, n_skills = g.node_count, int(rng.integers(2, 5))
+        cuts = np.sort(rng.choice(np.arange(1, n), n_skills - 1, replace=False))
+        blocks = [b[:int(rng.integers(1, 4))] for b in np.split(rng.permutation(n), cuts)]
+        if linked:
+            blocks = [np.append(b, c[0]) for b, c in zip(blocks, blocks[1:])] + blocks[-1:]
+        skills = SkillMap.from_counts(n, [(int(h), f"s{k}", 4)
+                                          for k, b in enumerate(blocks) for h in b])
+        picked = rng.choice(n_skills, int(rng.integers(2, n_skills + 1)), replace=False)
+        required = [f"s{k}" for k in sorted(picked.tolist())]
+        sources = []
+
+        def tight_hops(W, dw, src, mask, real=graph._tight_hops):
+            sources.append(np.ndim(src))
+            return real(W, dw, src, mask)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_tight_hops", tight_hops)
+            team = form_team(g, X, skills, required, community_solver("tree", variant))
+        assert (1 in sources) == (linked and variant == "weights")  # the star route
+
+        ext, ids, ext_X = skill_extended_graph(g, skills, X)
+        ea = ext.edge_array()
+        w1 = proxy_weights(ext, ext_X).with_zeroed(ea[ea[:, 1] >= n])
+        w2 = proxy_weights(g, X)
+
+        def connect(h, seeds, weights):
+            if variant == "hops":
+                return reference_hop_connector(h, seeds)[0]
+            return reference_weighted_connector(h, seeds, weights)[0]
+
+        individuals = {v for v in connect(ext, sorted(ids[lab] for lab in required), w1) if v < n}
+        assert team.step1_individuals == individuals
+        assert team.solution.nodes == connect(g, sorted(individuals), w2)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=40)
