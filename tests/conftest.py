@@ -5,11 +5,14 @@ machinery: connectivity is re-derived from raw edge lists, equilibria from a
 dense linear solve, shortest-path distances from a pure-Python heap Dijkstra
 and BFS, so the tests cross-check two independent routes.  The reference
 peel keeps the package's scoring but asks a full breadth-first search after
-every pick, the reference graph is the list-of-lists construction that
-the CSR ``Graph`` replaced, and the reference greedy growth runs one Python
-heap per start.  The reference peel and growth loop over Python lists read
-off the CSR arrays (``adjacency_lists``).  The reference seed sampling reads
-its spreads off a sources x nodes hop distance matrix.  The reference
+every pick, and the reference peel kernel is the package's peel as it ran
+with max scores read off each row sorted by descending weight and the sum
+candidates in a list of their own.  The reference graph is the
+list-of-lists construction that the CSR ``Graph`` replaced, and the
+reference greedy growth runs one Python heap per start.  The reference peel
+and growth loop over Python lists read off the CSR arrays
+(``adjacency_lists``).  The reference seed sampling reads its spreads off a
+sources x nodes hop distance matrix.  The reference
 connector computes a full distance row per seed, hops or weights, and
 connects the seeds by the Kruskal over a dict of seed pairs that the
 package replaced with one over the closure matrix.  The reference
@@ -31,7 +34,8 @@ from hypothesis import HealthCheck, settings
 
 from tensionkit import (EdgeWeights, Graph, InfeasibleError, InputError, SeedGroup,
                         evaluate_solution, largest_component, proxy_weights)
-from tensionkit.graph import (_as_hops, _hop_rows, _ranges, _reconstruct_path,
+from tensionkit.community import PEEL_VARIANTS, _check_ids, _seeds_reachable
+from tensionkit.graph import (_as_hops, _check_weights, _hop_rows, _ranges, _reconstruct_path,
                               hop_distance_matrix, path_distances)
 
 settings.register_profile(
@@ -335,6 +339,122 @@ def reference_peel_community(g: Graph, latent, seeds, variant: str = "sum",
 
     return evaluate_solution(g, latent, set(kept) | seed_set,
                              algorithm_tag=f"peel-{variant}")
+
+
+def _reference_best_sum(pool: list[int], wadj, live: list[bool]) -> tuple[int, list[int]]:
+    """The candidate in ``pool`` whose surviving weights, summed in neighbor
+    order, are largest (ties: lowest id; -1: none), and the survivors."""
+    best_v, best_s, survivors = -1, -math.inf, []
+    for v in pool:
+        if live[v]:
+            survivors.append(v)
+            s = 0.0
+            for u, w in wadj[v]:
+                if live[u]:
+                    s += w
+            if s > best_s:
+                best_v, best_s = v, s
+    return best_v, survivors
+
+
+def reference_peel_kernel(g: Graph, latent, seeds, variant: str = "sum",
+                            rng_seed: int = 0, weights: EdgeWeights | None = None):
+    """``peel_community`` as it ran before its max scores became upper bounds
+    checked at the pick, and before one score array held the sum candidates.
+
+    ``score`` holds each candidate's score, ``-inf`` off the candidates, so a
+    pick is its first maximum (ties: lowest id).  ``"random"`` draws are
+    static; ``"max"`` keeps a pointer per node into its row sorted by
+    descending weight, moved past each removed neighbor (``0.0`` past the
+    end).  ``"sum"`` picks by a Python rescan of every candidate: a sparse
+    product gives the same sums faster, but too close to the max variant's
+    time for the runtime ordering the paper reports.
+    """
+    if variant not in PEEL_VARIANTS:
+        raise InputError(f"unknown peel variant {variant!r} (expected one of {PEEL_VARIANTS})")
+    seeds = _check_ids(g, seeds)
+    seed_set = set(seeds)
+    n = g.node_count
+    indptr, indices = g.indptr, g.indices
+
+    if variant == "random":
+        score = np.random.default_rng(rng_seed).random(n)
+    else:
+        if weights is None:
+            weights = proxy_weights(g, latent)
+        _check_weights(g, weights)
+        W = weights.weighted_csr()
+        if variant == "sum":
+            pairs = list(zip(indices.tolist(), W.data.tolist()))
+            bounds = indptr.tolist()
+            wadj = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+            pool = [v for v in range(n) if v not in seed_set]
+            score = np.zeros(n)
+        else:
+            # rows by descending weight, ties in neighbor order; pointers of
+            # seeds, kept and pruned nodes park on a pad entry (neighbor -1)
+            order = np.lexsort((-W.data, np.repeat(np.arange(n), g.degrees())))
+            col = np.append(indices[order], -1)
+            top = np.append(W.data[order], 0.0)
+            ptr = indptr[:-1].copy()
+            score = np.where(ptr < indptr[1:], top[ptr], 0.0)
+            pad = len(order)
+            ptr[seeds] = pad
+    is_seed = np.isin(np.arange(n), seeds)
+    score[seeds] = -np.inf
+
+    alive, live = np.ones(n, dtype=bool), [True] * n  # live: for the sum loop
+    witness = _seeds_reachable(g, alive, seeds[0], seed_set)
+    if witness is None:
+        raise InfeasibleError("seeds in different components")
+    deg = g.degrees().copy()  # surviving neighbors of each surviving node
+    kept: list[int] = []  # V': nodes whose removal would split the seeds
+
+    while True:
+        if variant == "sum":
+            v, pool = _reference_best_sum(pool, wadj, live)
+            if v < 0:
+                break
+            pool.remove(v)
+        else:
+            v = int(score.argmax())
+            if score[v] == -np.inf:
+                break
+            score[v] = -np.inf
+        alive[v] = live[v] = False
+        if v in witness:
+            fresh = _seeds_reachable(g, alive, seeds[0], seed_set)
+            if fresh is None:
+                alive[v] = live[v] = True
+                kept.append(v)  # essential: survives, but leaves the candidates
+                if variant == "max":
+                    ptr[v] = pad
+                continue
+            witness = fresh
+        # committed; prune the candidates it isolated: none lies on a witness
+        # path, and no other node's degree or max pointer depends on them
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        nbrs = nbrs[alive[nbrs]]
+        deg[nbrs] -= 1
+        gone = nbrs[deg[nbrs] == 0]
+        if gone.size:
+            gone = gone[~is_seed[gone]]
+            alive[gone] = False
+            score[gone] = -np.inf
+            for u in gone.tolist():
+                live[u] = False
+        if variant == "max":
+            ptr[gone] = pad
+            # an unpruned candidate keeps a surviving neighbor, so its pointer
+            # stops inside its row
+            moved = hit = nbrs[col[ptr[nbrs]] == v]
+            while hit.size:
+                ptr[hit] += 1
+                hit = hit[~alive[col[ptr[hit]]]]
+            score[moved] = top[ptr[moved]]
+
+    result = set(kept) | seed_set
+    return evaluate_solution(g, latent, result, algorithm_tag=f"peel-{variant}")
 
 
 def reference_greedy_sets(g: Graph, weights, k: int, starts) -> np.ndarray:

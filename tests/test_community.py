@@ -20,7 +20,7 @@ from tensionkit.graph import hop_distance_matrix, pair_hop_distances, path_dista
 from conftest import (adjacency_lists, edge_weights, oracle_is_connected,
                       oracle_min_tension, oracle_tension, random_graph_and_profiles,
                       reference_hop_connector, reference_peel_community,
-                      reference_tight_hops, reference_weighted_connector)
+                      reference_peel_kernel, reference_tight_hops, reference_weighted_connector)
 
 
 def _solve(tag, g, X, seeds, seed=0):
@@ -796,6 +796,33 @@ class TestPeelScoresAreExact:
             (4, 5): 0.0, (5, 6): 0.0})
         _peel_matches_reference(g, w, "max", [0, 1, 4])
 
+    def test_max_lowers_stale_bounds_until_one_holds(self):
+        # node 5 goes first (0.99); nodes 3 and 4 then hold stale bounds of
+        # 0.95 and 0.9 from their edges to it.  The next pick lowers node 3
+        # to 0.5, then node 4 to 0.4, before node 2's exact 0.7 holds: node 2
+        # goes, then node 3, and node 4 is kept.  Picking node 4 on its stale
+        # 0.9 would keep node 3 instead.
+        g, w = _two_routes(6, {
+            (0, 2): 0.7, (1, 2): 0.0, (0, 3): 0.5, (1, 3): 0.5, (0, 4): 0.4,
+            (1, 4): 0.4, (0, 5): 0.99, (3, 5): 0.95, (4, 5): 0.9})
+        _peel_matches_reference(g, w, "max", [0, 1, 4])
+
+    @pytest.mark.parametrize("variant", PEEL_VARIANTS)
+    @pytest.mark.parametrize("n,edges,seeds", [
+        pytest.param(1, [], [0], id="single-node"),
+        pytest.param(4, [], [2], id="edgeless"),
+        pytest.param(7, [(1, 3), (3, 5)], [1, 5], id="isolated-non-seeds"),
+    ])
+    def test_rows_without_neighbours(self, variant, n, edges, seeds):
+        # empty rows score 0.0 under max and sum; every non-seed off the
+        # seeds' path goes
+        g = Graph(n, edges)
+        X = np.linspace(0.0, 1.0, n)[:, None]
+        sol = peel_community(g, X, seeds, variant=variant, rng_seed=4)
+        assert sol.sorted_nodes() == list(range(seeds[0], seeds[-1] + 1, 2))
+        for reference in (reference_peel_community, reference_peel_kernel):
+            assert sol.nodes == reference(g, X, seeds, variant=variant, rng_seed=4).nodes
+
     @pytest.mark.parametrize("variant", ["sum", "max"])
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_ties_go_to_the_lowest_id(self, variant, weight):
@@ -880,11 +907,12 @@ class TestSeedWitness:
         for variant in PEEL_VARIANTS:
             got = peel_community(g, X, seeds, variant=variant, rng_seed=seed,
                                  weights=weights)
-            want = reference_peel_community(g, X, seeds, variant=variant,
-                                            rng_seed=seed, weights=weights)
-            assert got.nodes == want.nodes, variant
-            assert got.edges_induced == want.edges_induced, variant
-            assert got.tension == want.tension, variant
+            for reference in (reference_peel_community, reference_peel_kernel):
+                want = reference(g, X, seeds, variant=variant, rng_seed=seed,
+                                 weights=weights)
+                assert got.nodes == want.nodes, variant
+                assert got.edges_induced == want.edges_induced, variant
+                assert got.tension == want.tension, variant
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=80)
